@@ -9,30 +9,55 @@ cd "$(dirname "$0")"
 # warning in the release build into a hard error.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 
-# The morsel-driven executor must be invariant under the worker count:
-# the whole suite runs serial and again with an 8-thread pool (the env
-# var is read once per process, so each setting needs its own run).
-PROBKB_THREADS=1 cargo test -q --offline --workspace
-PROBKB_THREADS=8 cargo test -q --offline --workspace
+# The whole workspace suite runs once, under the default knobs.
+cargo test -q --offline --workspace
 
-# The cost-based planner must be invariant in results: the whole suite
-# runs with the optimizer forced off (the unoptimized differential
-# oracle) and forced on. Same one-read-per-process caveat as above.
-PROBKB_OPTIMIZE=0 cargo test -q --offline --workspace
-PROBKB_OPTIMIZE=1 cargo test -q --offline --workspace
+# Each PROBKB_* knob then re-runs only the suites that own its contract
+# (the env vars are read once per process, so each setting needs its own
+# cargo invocation per package).
+
+# The morsel-driven executor must be invariant under the worker count:
+# serial and an 8-thread pool.
+for threads in 1 8; do
+  PROBKB_THREADS=$threads cargo test -q --offline -p probkb-relational \
+    --test proptest_parallel --test explain_golden
+  PROBKB_THREADS=$threads cargo test -q --offline \
+    --test differential_plans --test determinism
+done
+
+# The cost-based planner must be invariant in results: optimizer forced
+# off (the unoptimized differential oracle) and forced on.
+for optimize in 0 1; do
+  PROBKB_OPTIMIZE=$optimize cargo test -q --offline -p probkb-relational --lib
+  PROBKB_OPTIMIZE=$optimize cargo test -q --offline \
+    --test differential_plans --test incremental_stats
+done
 
 # The partitioned Gibbs sampler must be invariant under its own worker
 # pool: marginals, diagnostics, and R̂ early stops are a pure function of
 # (seed, chains) at any PROBKB_GIBBS_WORKERS setting.
-PROBKB_GIBBS_WORKERS=1 cargo test -q --offline --workspace
-PROBKB_GIBBS_WORKERS=4 cargo test -q --offline --workspace
+for workers in 1 4; do
+  PROBKB_GIBBS_WORKERS=$workers cargo test -q --offline \
+    --test inference_parallel --test incremental_inference --test local_grounding
+done
 
-# Out-of-core storage must be invisible to results: the whole suite runs
-# once more with every catalog forced through a hard-capped buffer pool
-# (64 pages = 512 KiB) and an aggressive spill threshold, so every table
-# larger than 256 rows lives in buffer-managed pages. Any divergence
-# between paged and in-memory execution fails the normal assertions.
-PROBKB_BUFFER_PAGES=64 PROBKB_SPILL_ROWS=256 cargo test -q --offline --workspace
+# Out-of-core storage must be invisible to results: every catalog forced
+# through a hard-capped buffer pool (64 pages = 512 KiB) and an
+# aggressive spill threshold, so every table larger than 256 rows lives
+# in buffer-managed pages. Any divergence between paged and in-memory
+# execution fails the normal assertions.
+paged() { PROBKB_BUFFER_PAGES=64 PROBKB_SPILL_ROWS=256 cargo test -q --offline "$@"; }
+paged -p probkb-relational --test outofcore_differential
+paged -p probkb-core --test outofcore_grounding
+paged --test differential_plans --test incremental_differential
+
+# The pinned benchmark harness (benchmark/, BENCHMARK.json) builds the
+# program from source and imports its public API (SingleNodeEngine::{new,
+# catalog}, GroundingEngine, ground_atoms_plan, ...): compile it, run its
+# own unit tests, and check its manifest, so a rename fails here and not
+# in the bench pipeline.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/check_manifest
 
 # Out-of-core grounding smoke: the acceptance harness grounds the same
 # KB in memory and through a capped pool and asserts byte-identity of
@@ -54,7 +79,7 @@ cargo run --release --offline -p probkb-bench --bin table2
 # and the blanket-scoped re-inference path must run end to end. The
 # incremental test suites themselves (incremental_differential,
 # incremental_inference, incremental_durability, incremental_stats) ride
-# in the --workspace test matrix above.
+# in the --workspace test pass above.
 MICROBENCH_SAMPLES=1 cargo bench --offline -p probkb-bench --bench delta
 
 # Local-grounding differential (DESIGN.md, "Local grounding"): answers
@@ -63,7 +88,7 @@ MICROBENCH_SAMPLES=1 cargo bench --offline -p probkb-bench --bench delta
 # honor the budget shape contract. The suite reads PROBKB_LOCAL_BUDGET
 # per answer, so it runs once starved (4 nodes/4 factors — almost every
 # component truncates) and once unlimited (every component covered; the
-# unset default also rides in the --workspace matrix above).
+# unset default also rides in the --workspace pass above).
 PROBKB_LOCAL_BUDGET=4 cargo test -q --offline --test local_grounding
 PROBKB_LOCAL_BUDGET=100000,100000 cargo test -q --offline --test local_grounding
 

@@ -87,7 +87,7 @@ fn main() {
     let mut full_ground = Duration::MAX;
     let mut oracle_fp = String::new();
     for _ in 0..reps {
-        let mut engine = SemiNaiveEngine::new();
+        let mut engine = SingleNodeEngine::semi_naive();
         let t = Instant::now();
         let out = ground(&union, &mut engine, &config()).expect("full ground");
         full_ground = full_ground.min(t.elapsed());

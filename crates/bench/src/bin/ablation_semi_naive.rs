@@ -1,7 +1,8 @@
 //! Ablation: naive (Algorithm 1) vs semi-naive grounding.
 //!
-//! Algorithm 1 re-joins the full `TΠ` every iteration; semi-naive
-//! evaluation joins only against the last iteration's delta. On
+//! Algorithm 1 (`SingleNodeEngine::new()`) re-joins the full `TΠ` every
+//! iteration; semi-naive evaluation (`SingleNodeEngine::semi_naive()`)
+//! joins only against the last iteration's frontier. On
 //! workloads with deep derivation chains the per-iteration cost of the
 //! naive engine grows with the KB while the semi-naive engine's tracks
 //! the (shrinking) frontier.
@@ -45,7 +46,7 @@ fn main() {
 
     let mut naive = SingleNodeEngine::new();
     let n = ground(&kb, &mut naive, &config).expect("naive");
-    let mut sn = SemiNaiveEngine::new();
+    let mut sn = SingleNodeEngine::semi_naive();
     let s = ground(&kb, &mut sn, &config).expect("semi-naive");
 
     assert_eq!(n.facts.len(), s.facts.len(), "engines must agree");

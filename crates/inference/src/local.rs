@@ -1,5 +1,5 @@
 //! Query-time local inference: marginals over budgeted proof
-//! neighborhoods (ROADMAP item 4).
+//! neighborhoods (DESIGN.md, "Local grounding").
 //!
 //! [`LocalSession`] glues a [`LocalGrounder`] (the budgeted
 //! backward/forward chaining expander in `probkb_core::local`) to this

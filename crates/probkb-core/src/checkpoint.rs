@@ -37,7 +37,7 @@ use probkb_storage::{crc32, StorageError};
 
 use crate::engine::{GroundingEngine, ViolatorKey};
 use crate::grounding::{
-    register_candidates, GroundingConfig, GroundingOutcome, GroundingReport, IterationStats,
+    apply_engine_knobs, FactorPass, GroundingConfig, GroundingOutcome, GroundingRun, IterationStats,
 };
 use crate::relmodel::{load, tpi, FactRegistry};
 
@@ -195,11 +195,7 @@ enum WalRecord {
         violators: Vec<(i64, i64)>,
     },
     Iteration(IterationRecord),
-    Factors {
-        table: Table,
-        queries: usize,
-        elapsed: Duration,
-    },
+    Factors(FactorPass),
 }
 
 fn duration_us(d: Duration) -> u64 {
@@ -223,12 +219,6 @@ fn get_violators(r: &mut ByteReader<'_>) -> probkb_storage::Result<Vec<(i64, i64
         v.push((e, c));
     }
     Ok(v)
-}
-
-fn sorted_violators(set: &HashSet<ViolatorKey>) -> Vec<(i64, i64)> {
-    let mut v: Vec<(i64, i64)> = set.iter().copied().collect();
-    v.sort_unstable();
-    v
 }
 
 fn encode_record(rec: &WalRecord) -> Vec<u8> {
@@ -264,15 +254,11 @@ fn encode_record(rec: &WalRecord) -> Vec<u8> {
             }
             put_table(&mut w, &rows);
         }
-        WalRecord::Factors {
-            table,
-            queries,
-            elapsed,
-        } => {
+        WalRecord::Factors(pass) => {
             w.put_u8(REC_FACTORS);
-            w.put_u64(*queries as u64);
-            w.put_u64(duration_us(*elapsed));
-            put_table(&mut w, table);
+            w.put_u64(pass.queries as u64);
+            w.put_u64(duration_us(pass.elapsed));
+            put_table(&mut w, &pass.table);
         }
     }
     w.into_bytes()
@@ -314,11 +300,11 @@ fn decode_record(payload: &[u8]) -> probkb_storage::Result<WalRecord> {
             let queries = r.get_u64()? as usize;
             let elapsed = Duration::from_micros(r.get_u64()?);
             let table = get_table(&mut r)?;
-            WalRecord::Factors {
+            WalRecord::Factors(FactorPass {
                 table,
                 queries,
                 elapsed,
-            }
+            })
         }
         tag => {
             return Err(StorageError::Corrupt(format!(
@@ -497,39 +483,51 @@ pub(crate) fn decode_factiter(bytes: &[u8]) -> probkb_storage::Result<HashMap<i6
 }
 
 // ---------------------------------------------------------------------
-// Run state
+// Restored state
 // ---------------------------------------------------------------------
 
-/// The driver-side mutable state of a grounding run — everything outside
-/// the engine that a snapshot must capture.
+/// The (KB, config, engine) triple a checkpoint directory belongs to.
+/// State written under one identity is never replayed into another.
 #[derive(Debug)]
-struct RunState {
-    registry: FactRegistry,
-    precleaned: usize,
-    preclean_done: bool,
-    iterations: Vec<IterationStats>,
-    fact_iteration: HashMap<i64, usize>,
-    converged: bool,
-    capped: bool,
-    factors: Option<(Table, usize, Duration)>,
+struct RunIdentity {
+    kb_digest: u32,
+    cfg_digest: u32,
+    engine: String,
 }
 
-impl RunState {
-    fn fresh(registry: FactRegistry, config: &GroundingConfig) -> RunState {
-        RunState {
-            registry,
-            precleaned: 0,
-            preclean_done: !config.preclean,
-            iterations: Vec::new(),
-            fact_iteration: HashMap::new(),
-            converged: false,
-            capped: false,
-            factors: None,
+impl RunIdentity {
+    fn begin_record(&self) -> WalRecord {
+        WalRecord::Begin {
+            kb_digest: self.kb_digest,
+            cfg_digest: self.cfg_digest,
+            engine: self.engine.clone(),
         }
     }
 
-    fn last_iteration(&self) -> usize {
-        self.iterations.last().map(|s| s.iteration).unwrap_or(0)
+    fn matches(&self, kb_digest: u32, cfg_digest: u32, engine: &str) -> bool {
+        self.kb_digest == kb_digest && self.cfg_digest == cfg_digest && self.engine == engine
+    }
+}
+
+/// A run rebuilt from disk: the stepper state
+/// ([`crate::grounding::GroundingRun`]) a snapshot captured, advanced by
+/// WAL replay.
+#[derive(Debug)]
+struct Restored {
+    run: GroundingRun,
+    /// The logged `TΦ` frame, when the previous run got that far.
+    factors: Option<FactorPass>,
+    /// Completed iterations re-applied from the WAL.
+    replayed: usize,
+}
+
+impl Restored {
+    fn from_run(run: GroundingRun) -> Restored {
+        Restored {
+            run,
+            factors: None,
+            replayed: 0,
+        }
     }
 }
 
@@ -544,18 +542,18 @@ fn violator_set(violators: &[(i64, i64)]) -> HashSet<ViolatorKey> {
 fn apply_records(
     engine: &mut dyn GroundingEngine,
     config: &GroundingConfig,
-    st: &mut RunState,
+    st: &mut Restored,
     snap_iteration: usize,
     records: &[WalRecord],
-) -> CheckpointResult<usize> {
-    let mut replayed = 0usize;
+) -> CheckpointResult<()> {
+    let run = &mut st.run;
     for rec in records {
         match rec {
             WalRecord::Begin { .. } => {
                 return Err(corrupt("unexpected mid-log Begin record"));
             }
             WalRecord::Preclean { deleted, violators } => {
-                if snap_iteration == 0 && !st.preclean_done {
+                if snap_iteration == 0 && run.precleaned.is_none() {
                     let applied = engine.delete_violators(&violator_set(violators))?;
                     if applied != *deleted {
                         return Err(corrupt(format!(
@@ -564,14 +562,13 @@ fn apply_records(
                     }
                     engine.redistribute()?;
                 }
-                st.precleaned = *deleted;
-                st.preclean_done = true;
+                run.precleaned = Some(*deleted);
             }
             WalRecord::Iteration(it) => {
                 if it.iteration <= snap_iteration {
                     continue; // already folded into the snapshot
                 }
-                let expected = st.last_iteration().max(snap_iteration) + 1;
+                let expected = run.last_iteration().max(snap_iteration) + 1;
                 if it.iteration != expected {
                     return Err(corrupt(format!(
                         "WAL gap: expected iteration {expected}, found {}",
@@ -588,7 +585,7 @@ fn apply_records(
                         row[tpi::C2].as_int().expect("logged C2"),
                     ];
                     let logged_id = row[tpi::I].as_int().expect("logged id");
-                    match st.registry.register(key) {
+                    match run.registry.register(key) {
                         Some(id) if id == logged_id => {}
                         other => {
                             return Err(corrupt(format!(
@@ -596,13 +593,13 @@ fn apply_records(
                             )));
                         }
                     }
-                    st.fact_iteration.insert(logged_id, it.iteration);
+                    run.fact_iteration.insert(logged_id, it.iteration);
                 }
                 if it.converged {
                     if new_facts != 0 {
                         return Err(corrupt("converged frame carries new rows"));
                     }
-                    st.converged = true;
+                    run.converged = true;
                 } else {
                     engine.insert_facts(it.new_rows.clone())?;
                     if config.apply_constraints {
@@ -623,7 +620,7 @@ fn apply_records(
                         it.iteration, it.facts_after
                     )));
                 }
-                st.iterations.push(IterationStats {
+                run.iterations.push(IterationStats {
                     iteration: it.iteration,
                     new_facts,
                     deleted_facts: it.deleted,
@@ -631,41 +628,30 @@ fn apply_records(
                     queries: it.queries,
                     elapsed: it.elapsed,
                 });
-                if let Some(cap) = config.max_total_facts {
-                    if facts_after > cap {
-                        st.capped = true;
-                    }
-                }
-                replayed += 1;
+                run.check_cap(config);
+                st.replayed += 1;
             }
-            WalRecord::Factors {
-                table,
-                queries,
-                elapsed,
-            } => {
-                st.factors = Some((table.clone(), *queries, *elapsed));
+            WalRecord::Factors(pass) => {
+                st.factors = Some(pass.clone());
             }
         }
     }
-    Ok(replayed)
+    Ok(())
 }
 
 /// Restore engine + driver state from one snapshot file, then replay the
 /// usable WAL suffix. Any failure rejects this candidate.
-#[allow(clippy::too_many_arguments)]
 fn try_resume_snapshot(
     engine: &mut dyn GroundingEngine,
     config: &GroundingConfig,
     path: &Path,
     snap_iteration: usize,
     records: &[WalRecord],
-    kb_d: u32,
-    cfg_d: u32,
-    engine_name: &str,
-) -> CheckpointResult<(RunState, usize)> {
+    identity: &RunIdentity,
+) -> CheckpointResult<Restored> {
     let snap = Snapshot::read_from(path)?;
     let meta = decode_meta(snap.section(SEC_META)?)?;
-    if meta.kb_digest != kb_d || meta.cfg_digest != cfg_d || meta.engine != engine_name {
+    if !identity.matches(meta.kb_digest, meta.cfg_digest, &meta.engine) {
         return Err(corrupt(format!(
             "snapshot {} belongs to a different run",
             path.display()
@@ -680,26 +666,19 @@ fn try_resume_snapshot(
     }
     let state = decode_named_tables(snap.section(SEC_STATE)?)?;
     engine.import_state(&state)?;
-    let mut st = RunState {
-        registry: decode_registry(snap.section(SEC_REGISTRY)?)?,
-        precleaned: meta.precleaned,
-        preclean_done: !config.preclean || snap_iteration > 0,
-        iterations: decode_stats(snap.section(SEC_STATS)?)?,
-        fact_iteration: decode_factiter(snap.section(SEC_FACTITER)?)?,
-        converged: meta.converged,
-        capped: false,
-        factors: None,
-    };
-    if st.last_iteration() != snap_iteration {
+    let mut run = GroundingRun::new(decode_registry(snap.section(SEC_REGISTRY)?)?);
+    // Only the base (iteration-0) snapshot predates the preclean pass.
+    run.precleaned = (snap_iteration > 0).then_some(meta.precleaned);
+    run.iterations = decode_stats(snap.section(SEC_STATS)?)?;
+    run.fact_iteration = decode_factiter(snap.section(SEC_FACTITER)?)?;
+    run.converged = meta.converged;
+    if run.last_iteration() != snap_iteration {
         return Err(corrupt("snapshot stats do not reach its iteration"));
     }
-    if let (Some(cap), Some(last)) = (config.max_total_facts, st.iterations.last()) {
-        if last.facts_after > cap {
-            st.capped = true;
-        }
-    }
-    let replayed = apply_records(engine, config, &mut st, snap_iteration, records)?;
-    Ok((st, replayed))
+    run.check_cap(config);
+    let mut st = Restored::from_run(run);
+    apply_records(engine, config, &mut st, snap_iteration, records)?;
+    Ok(st)
 }
 
 /// Rebuild the base (iteration-0) state straight from the KB and replay
@@ -710,30 +689,40 @@ fn try_resume_base(
     kb: &ProbKb,
     config: &GroundingConfig,
     records: &[WalRecord],
-) -> CheckpointResult<(RunState, usize)> {
+) -> CheckpointResult<Restored> {
     let rel = load(kb);
     engine.load(&rel)?;
-    let mut st = RunState::fresh(rel.registry, config);
-    let replayed = apply_records(engine, config, &mut st, 0, records)?;
-    Ok((st, replayed))
+    let mut st = Restored::from_run(GroundingRun::new(rel.registry));
+    apply_records(engine, config, &mut st, 0, records)?;
+    Ok(st)
 }
 
+/// Snapshot the engine and the stepper state as of the run's last
+/// completed iteration.
 fn write_snapshot(
     dir: &Path,
-    meta: &SnapshotMeta,
+    identity: &RunIdentity,
     kb_bytes: &[u8],
     engine: &dyn GroundingEngine,
-    st: &RunState,
+    run: &GroundingRun,
 ) -> CheckpointResult<()> {
+    let meta = SnapshotMeta {
+        kb_digest: identity.kb_digest,
+        cfg_digest: identity.cfg_digest,
+        engine: identity.engine.clone(),
+        iteration: run.last_iteration(),
+        precleaned: run.precleaned.unwrap_or(0),
+        converged: run.converged,
+    };
     let state = engine.export_state()?;
     let mut builder = SnapshotBuilder::new();
     builder
-        .section(SEC_META, encode_meta(meta))
+        .section(SEC_META, encode_meta(&meta))
         .section(SEC_KB, kb_bytes.to_vec())
-        .section(SEC_REGISTRY, encode_registry(&st.registry))
+        .section(SEC_REGISTRY, encode_registry(&run.registry))
         .section(SEC_STATE, encode_named_tables(&state))
-        .section(SEC_STATS, encode_stats(&st.iterations))
-        .section(SEC_FACTITER, encode_factiter(&st.fact_iteration));
+        .section(SEC_STATS, encode_stats(&run.iterations))
+        .section(SEC_FACTITER, encode_factiter(&run.fact_iteration));
     builder.write_to(&dir.join(snapshot_file_name(meta.iteration)))?;
     Ok(())
 }
@@ -764,6 +753,13 @@ fn clear_checkpoint_dir(dir: &Path) {
     let _ = fs::remove_file(dir.join(WAL_FILE));
 }
 
+/// Append one record to the log and make it durable.
+fn log(wal: &mut WalWriter, rec: &WalRecord) -> CheckpointResult<()> {
+    wal.append(&encode_record(rec))?;
+    wal.commit()?;
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // The driver
 // ---------------------------------------------------------------------
@@ -773,29 +769,28 @@ fn clear_checkpoint_dir(dir: &Path) {
 /// from a compatible earlier run — resume from the last completed
 /// iteration instead of starting over.
 ///
-/// The outcome (facts, factors, fact-iteration map, per-iteration
-/// counts) is byte-identical to [`crate::grounding::ground`] with the
-/// same `kb`, `engine`, and `config`, whether the run is fresh, resumed
-/// once, or resumed many times. On-disk state from a *different* KB,
-/// config, or engine is detected by digest and discarded.
+/// The live part drives the same [`GroundingRun`] stepper as
+/// [`crate::grounding::ground_loaded`], so the outcome (facts, factors,
+/// fact-iteration map, per-iteration counts) is byte-identical to
+/// [`crate::grounding::ground`] with the same `kb`, `engine`, and
+/// `config`, whether the run is fresh, resumed once, or resumed many
+/// times. On-disk state from a *different* KB, config, or engine is
+/// detected by digest and discarded.
 pub fn ground_checkpointed(
     kb: &ProbKb,
     engine: &mut dyn GroundingEngine,
     config: &GroundingConfig,
     ckpt: &CheckpointConfig,
 ) -> CheckpointResult<CheckpointedRun> {
-    if let Some(threads) = config.threads {
-        engine.set_threads(threads);
-    }
-    if let Some(optimize) = config.optimize {
-        engine.set_optimize(optimize);
-    }
+    apply_engine_knobs(engine, config);
     fs::create_dir_all(&ckpt.dir).map_err(|e| io_err(&ckpt.dir, e))?;
 
     let kb_bytes = encode_kb(kb);
-    let kb_d = kb_digest(kb);
-    let cfg_d = config_digest(config);
-    let engine_name = engine.name().to_string();
+    let identity = RunIdentity {
+        kb_digest: kb_digest(kb),
+        cfg_digest: config_digest(config),
+        engine: engine.name().to_string(),
+    };
     let wal_path = ckpt.dir.join(WAL_FILE);
 
     // Recover the usable WAL suffix: the log counts only if its Begin
@@ -804,66 +799,43 @@ pub fn ground_checkpointed(
     let wal_ok = matches!(
         records.first(),
         Some(WalRecord::Begin { kb_digest, cfg_digest, engine })
-            if *kb_digest == kb_d && *cfg_digest == cfg_d && engine == &engine_name
+            if identity.matches(*kb_digest, *cfg_digest, engine)
     );
     let usable: &[WalRecord] = if wal_ok { &records[1..] } else { &[] };
 
     // Resume cascade: newest snapshot → older snapshots → WAL-only
     // replay from a rebuilt base → fresh start.
     let load_start = Instant::now();
-    let mut restored: Option<(RunState, ResumeSummary)> = None;
+    let mut restored: Option<(Restored, usize)> = None;
     for (snap_iteration, path) in list_snapshots(&ckpt.dir) {
-        if let Ok((st, replayed)) = try_resume_snapshot(
-            engine,
-            config,
-            &path,
-            snap_iteration,
-            usable,
-            kb_d,
-            cfg_d,
-            &engine_name,
-        ) {
-            let completed = st.factors.is_some();
-            restored = Some((
-                st,
-                ResumeSummary {
-                    snapshot_iteration: Some(snap_iteration),
-                    replayed_iterations: replayed,
-                    completed_on_disk: completed,
-                },
-            ));
+        if let Ok(st) =
+            try_resume_snapshot(engine, config, &path, snap_iteration, usable, &identity)
+        {
+            restored = Some((st, snap_iteration));
             break;
         }
     }
     if restored.is_none() && wal_ok {
-        if let Ok((st, replayed)) = try_resume_base(engine, kb, config, usable) {
-            let completed = st.factors.is_some();
-            restored = Some((
-                st,
-                ResumeSummary {
-                    snapshot_iteration: Some(0),
-                    replayed_iterations: replayed,
-                    completed_on_disk: completed,
-                },
-            ));
+        if let Ok(st) = try_resume_base(engine, kb, config, usable) {
+            restored = Some((st, 0));
         }
     }
 
-    let (mut st, resume, mut wal) = match restored {
-        Some((st, resume)) => {
+    let (mut run, logged_factors, resume, mut wal) = match restored {
+        Some((st, snap_iteration)) => {
             let wal = if wal_ok {
                 WalWriter::open_at(&wal_path, wal_valid_len)?
             } else {
                 let mut wal = WalWriter::create(&wal_path)?;
-                wal.append(&encode_record(&WalRecord::Begin {
-                    kb_digest: kb_d,
-                    cfg_digest: cfg_d,
-                    engine: engine_name.clone(),
-                }))?;
-                wal.commit()?;
+                log(&mut wal, &identity.begin_record())?;
                 wal
             };
-            (st, resume, wal)
+            let resume = ResumeSummary {
+                snapshot_iteration: Some(snap_iteration),
+                replayed_iterations: st.replayed,
+                completed_on_disk: st.factors.is_some(),
+            };
+            (st.run, st.factors, resume, wal)
         }
         None => {
             // Fresh start: scrap unusable remnants, load, persist the
@@ -871,223 +843,82 @@ pub fn ground_checkpointed(
             clear_checkpoint_dir(&ckpt.dir);
             let rel = load(kb);
             engine.load(&rel)?;
-            let st = RunState::fresh(rel.registry, config);
-            write_snapshot(
-                &ckpt.dir,
-                &SnapshotMeta {
-                    kb_digest: kb_d,
-                    cfg_digest: cfg_d,
-                    engine: engine_name.clone(),
-                    iteration: 0,
-                    precleaned: 0,
-                    converged: false,
-                },
-                &kb_bytes,
-                engine,
-                &st,
-            )?;
+            let run = GroundingRun::new(rel.registry);
+            write_snapshot(&ckpt.dir, &identity, &kb_bytes, engine, &run)?;
             let mut wal = WalWriter::create(&wal_path)?;
-            wal.append(&encode_record(&WalRecord::Begin {
-                kb_digest: kb_d,
-                cfg_digest: cfg_d,
-                engine: engine_name.clone(),
-            }))?;
-            wal.commit()?;
+            log(&mut wal, &identity.begin_record())?;
             let resume = ResumeSummary {
                 snapshot_iteration: None,
                 replayed_iterations: 0,
                 completed_on_disk: false,
             };
-            (st, resume, wal)
+            (run, None, resume, wal)
         }
     };
     let load_time = load_start.elapsed();
 
-    let crash_if_due = |iteration: usize| {
+    // ----- live run: the shared stepper, with a log frame per step -----
+    let mut dirty = false;
+    if config.preclean && run.precleaned.is_none() {
+        let violators = run.preclean(engine)?;
+        log(
+            &mut wal,
+            &WalRecord::Preclean {
+                deleted: run.precleaned.unwrap_or(0),
+                violators,
+            },
+        )?;
+        dirty = true;
+    }
+    while run.wants_step(config) {
+        let applied = run.step(engine, config)?;
+        let stats = run.iterations.last().expect("step records its stats");
+        let iteration = stats.iteration;
+        log(
+            &mut wal,
+            &WalRecord::Iteration(IterationRecord {
+                iteration,
+                converged: run.converged,
+                facts_after: stats.facts_after,
+                deleted: stats.deleted_facts,
+                queries: stats.queries,
+                elapsed: stats.elapsed,
+                violators: applied.violators,
+                new_rows: applied.new_rows,
+            }),
+        )?;
+        dirty = true;
+        if !run.converged && ckpt.snapshot_every > 0 && iteration % ckpt.snapshot_every == 0 {
+            write_snapshot(&ckpt.dir, &identity, &kb_bytes, engine, &run)?;
+        }
         if ckpt.crash_after_iteration == Some(iteration) {
             eprintln!("[checkpoint] injected crash after iteration {iteration}");
             std::process::exit(CRASH_EXIT_CODE);
-        }
-    };
-
-    // ----- live run (mirrors ground_loaded step for step) -----
-    let mut dirty = false;
-    if config.preclean && !st.preclean_done {
-        let violators = engine.find_violators()?;
-        st.precleaned = engine.delete_violators(&violators)?;
-        engine.redistribute()?;
-        st.preclean_done = true;
-        wal.append(&encode_record(&WalRecord::Preclean {
-            deleted: st.precleaned,
-            violators: sorted_violators(&violators),
-        }))?;
-        wal.commit()?;
-        dirty = true;
-    }
-
-    if !st.converged && !st.capped {
-        for iteration in (st.last_iteration() + 1)..=config.max_iterations {
-            let start = Instant::now();
-            let (candidates, mut queries) = engine.ground_atoms()?;
-            let new_rows = register_candidates(&mut st.registry, &candidates);
-            let new_facts = new_rows.len();
-            for row in &new_rows {
-                st.fact_iteration
-                    .insert(row[tpi::I].as_int().expect("fact id"), iteration);
-            }
-            if new_facts == 0 {
-                st.converged = true;
-                let facts_after = engine.fact_count()?;
-                let elapsed = start.elapsed();
-                st.iterations.push(IterationStats {
-                    iteration,
-                    new_facts: 0,
-                    deleted_facts: 0,
-                    facts_after,
-                    queries,
-                    elapsed,
-                });
-                wal.append(&encode_record(&WalRecord::Iteration(IterationRecord {
-                    iteration,
-                    converged: true,
-                    facts_after,
-                    deleted: 0,
-                    queries,
-                    elapsed,
-                    violators: Vec::new(),
-                    new_rows: Vec::new(),
-                })))?;
-                wal.commit()?;
-                dirty = true;
-                crash_if_due(iteration);
-                break;
-            }
-            engine.insert_facts(new_rows.clone())?;
-
-            let mut deleted_facts = 0;
-            let mut violators = Vec::new();
-            if config.apply_constraints {
-                let found = engine.find_violators()?;
-                queries += 2; // Type I + Type II violator queries
-                deleted_facts = engine.delete_violators(&found)?;
-                violators = sorted_violators(&found);
-            }
-            engine.redistribute()?;
-
-            let facts_after = engine.fact_count()?;
-            let elapsed = start.elapsed();
-            st.iterations.push(IterationStats {
-                iteration,
-                new_facts,
-                deleted_facts,
-                facts_after,
-                queries,
-                elapsed,
-            });
-            wal.append(&encode_record(&WalRecord::Iteration(IterationRecord {
-                iteration,
-                converged: false,
-                facts_after,
-                deleted: deleted_facts,
-                queries,
-                elapsed,
-                violators,
-                new_rows,
-            })))?;
-            wal.commit()?;
-            dirty = true;
-
-            if ckpt.snapshot_every > 0 && iteration % ckpt.snapshot_every == 0 {
-                write_snapshot(
-                    &ckpt.dir,
-                    &SnapshotMeta {
-                        kb_digest: kb_d,
-                        cfg_digest: cfg_d,
-                        engine: engine_name.clone(),
-                        iteration,
-                        precleaned: st.precleaned,
-                        converged: false,
-                    },
-                    &kb_bytes,
-                    engine,
-                    &st,
-                )?;
-            }
-            crash_if_due(iteration);
-
-            if let Some(cap) = config.max_total_facts {
-                if facts_after > cap {
-                    st.capped = true;
-                    break;
-                }
-            }
         }
     }
 
     // A final snapshot caps how much WAL a later resume must replay.
     if dirty {
-        write_snapshot(
-            &ckpt.dir,
-            &SnapshotMeta {
-                kb_digest: kb_d,
-                cfg_digest: cfg_d,
-                engine: engine_name.clone(),
-                iteration: st.last_iteration(),
-                precleaned: st.precleaned,
-                converged: st.converged,
-            },
-            &kb_bytes,
-            engine,
-            &st,
-        )?;
+        write_snapshot(&ckpt.dir, &identity, &kb_bytes, engine, &run)?;
     }
 
-    let (factors, factor_queries, factor_time) = match st.factors.take() {
+    let factors = match logged_factors {
         Some(logged) => logged,
         None => {
-            let factor_start = Instant::now();
-            let (mut factors, factor_queries) = engine.ground_factors()?;
-            crate::grounding::canonicalize_factors(&mut factors);
-            let factor_time = factor_start.elapsed();
-            wal.append(&encode_record(&WalRecord::Factors {
-                table: factors.clone(),
-                queries: factor_queries,
-                elapsed: factor_time,
-            }))?;
-            wal.commit()?;
-            (factors, factor_queries, factor_time)
+            let pass = run.ground_factors(engine)?;
+            log(&mut wal, &WalRecord::Factors(pass.clone()))?;
+            pass
         }
     };
-    let mut facts = engine.facts()?;
-    facts.sort_by_cols(&[tpi::I]);
-
-    let report = GroundingReport {
-        engine: engine_name,
-        load_time,
-        precleaned: st.precleaned,
-        converged: st.converged,
-        factor_time,
-        factor_queries,
-        total_facts: facts.len(),
-        total_factors: factors.len(),
-        iterations: st.iterations,
-    };
-    Ok(CheckpointedRun {
-        outcome: GroundingOutcome {
-            facts,
-            factors,
-            fact_iteration: st.fact_iteration,
-            report,
-        },
-        resume,
-    })
+    let outcome = run.finish(engine, load_time, factors)?;
+    Ok(CheckpointedRun { outcome, resume })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grounding::ground;
-    use crate::semi_naive::SemiNaiveEngine;
+    use crate::single_node::SingleNodeEngine;
     use probkb_kb::prelude::parse;
     use probkb_relational::prelude::Value;
     use probkb_storage::format::encode_table;
@@ -1115,12 +946,12 @@ mod tests {
     fn fresh_checkpointed_run_matches_plain_ground() {
         let kb = chain_kb(6);
         let config = GroundingConfig::default();
-        let mut plain_engine = SemiNaiveEngine::new();
+        let mut plain_engine = SingleNodeEngine::semi_naive();
         let plain = ground(&kb, &mut plain_engine, &config).unwrap();
 
         let dir = tmp_dir("fresh");
         let ckpt = CheckpointConfig::new(&dir);
-        let mut engine = SemiNaiveEngine::new();
+        let mut engine = SingleNodeEngine::semi_naive();
         let run = ground_checkpointed(&kb, &mut engine, &config, &ckpt).unwrap();
 
         assert!(!run.resume.resumed());
@@ -1143,10 +974,10 @@ mod tests {
         let dir = tmp_dir("done");
         let ckpt = CheckpointConfig::new(&dir);
 
-        let mut engine = SemiNaiveEngine::new();
+        let mut engine = SingleNodeEngine::semi_naive();
         let first = ground_checkpointed(&kb, &mut engine, &config, &ckpt).unwrap();
 
-        let mut engine2 = SemiNaiveEngine::new();
+        let mut engine2 = SingleNodeEngine::semi_naive();
         let second = ground_checkpointed(&kb, &mut engine2, &config, &ckpt).unwrap();
         assert!(second.resume.resumed());
         assert!(second.resume.completed_on_disk);
@@ -1167,7 +998,7 @@ mod tests {
         let dir = tmp_dir("cfg");
         let ckpt = CheckpointConfig::new(&dir);
 
-        let mut engine = SemiNaiveEngine::new();
+        let mut engine = SingleNodeEngine::semi_naive();
         let config = GroundingConfig::default();
         ground_checkpointed(&kb, &mut engine, &config, &ckpt).unwrap();
 
@@ -1175,11 +1006,11 @@ mod tests {
             apply_constraints: false,
             ..GroundingConfig::default()
         };
-        let mut engine2 = SemiNaiveEngine::new();
+        let mut engine2 = SingleNodeEngine::semi_naive();
         let rerun = ground_checkpointed(&kb, &mut engine2, &changed, &ckpt).unwrap();
         assert!(!rerun.resume.resumed());
 
-        let mut plain = SemiNaiveEngine::new();
+        let mut plain = SingleNodeEngine::semi_naive();
         let expected = ground(&kb, &mut plain, &changed).unwrap();
         assert_eq!(
             encode_table(&rerun.outcome.facts),

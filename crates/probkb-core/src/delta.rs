@@ -58,11 +58,14 @@ use probkb_support::sync::{default_threads, map_indices};
 use crate::grounding::{
     canonicalize_factors, ground, register_candidates, GroundingConfig, GroundingOutcome,
 };
-use crate::queries::{ground_atoms_plan, ground_factors_plan, join_spec};
+use crate::queries::{
+    atoms_plan_legs, factors_plan_legs, frontier_atoms_plans, ground_atoms_plan,
+    ground_factors_plan,
+};
 use crate::relmodel::{
     candidate_schema, load, mln_tables, names, tphi, tphi_schema, tpi, tpi_schema, FactRegistry,
 };
-use crate::semi_naive::SemiNaiveEngine;
+use crate::single_node::SingleNodeEngine;
 
 /// Off-schedule frontier: facts first derived last round at a round the
 /// base run did not predict (plus the delta's base facts at round 1).
@@ -330,7 +333,7 @@ pub struct DeltaSession {
 impl DeltaSession {
     /// Ground `kb` from scratch and open a session over the result.
     pub fn new(kb: ProbKb, config: GroundingConfig) -> Result<DeltaSession> {
-        let mut engine = SemiNaiveEngine::new();
+        let mut engine = SingleNodeEngine::semi_naive();
         let out = ground(&kb, &mut engine, &config)?;
         Ok(DeltaSession::from_outcome(kb, config, out))
     }
@@ -494,11 +497,11 @@ impl DeltaSession {
     /// supported**. Retraction cannot reuse the schedule-injection replay
     /// (a removed fact may invalidate derivations at *earlier* rounds
     /// than it was used, so the recorded schedule over-approximates);
-    /// until provenance-guided deletion lands (ROADMAP item 2
-    /// follow-up), every call returns a structured
-    /// [`Error::Unsupported`] naming the feature, so callers (e.g. the
-    /// server's `APPLY_DELTA` error path) can report it without string
-    /// matching. The session is left untouched.
+    /// until provenance-guided deletion lands (ROADMAP item 5), every
+    /// call returns a structured [`Error::Unsupported`] naming the
+    /// feature, so callers (e.g. the server's `APPLY_DELTA` error path)
+    /// can report it without string matching. The session is left
+    /// untouched.
     pub fn retract(&mut self, retraction: &KbDelta) -> Result<DeltaApplied> {
         Err(Error::Unsupported {
             feature: "retract".into(),
@@ -514,7 +517,7 @@ impl DeltaSession {
     /// Constraint-enforcing sessions delete facts mid-run; replaying the
     /// recorded schedule is unsound there, so re-ground the union.
     fn apply_full(&mut self, union_kb: ProbKb, start: Instant) -> Result<DeltaApplied> {
-        let mut engine = SemiNaiveEngine::new();
+        let mut engine = SingleNodeEngine::semi_naive();
         let out = ground(&union_kb, &mut engine, &self.config)?;
         let rounds = out
             .report
@@ -705,26 +708,18 @@ impl DeltaSession {
             let mut plans: Vec<Plan> = Vec::new();
             for &p in &old_partitions {
                 let m = names::mln(p.index());
-                if p.arity() == 2 {
-                    plans.push(atoms_plan_legs(p, &m, T_DX, T_DX));
-                } else {
-                    plans.push(atoms_plan_legs(p, &m, T_DX, names::TPI));
-                    plans.push(atoms_plan_legs(p, &m, names::TPI, T_DX));
-                    if round >= 2 {
-                        plans.push(atoms_plan_legs(p, &m, T_SCHED, T_EXTRA));
-                        plans.push(atoms_plan_legs(p, &m, T_EXTRA, T_SCHED));
-                    }
+                plans.extend(frontier_atoms_plans(p, &m, T_DX, names::TPI));
+                if p.arity() == 3 && round >= 2 {
+                    plans.push(atoms_plan_legs(p, &m, T_SCHED, T_EXTRA));
+                    plans.push(atoms_plan_legs(p, &m, T_EXTRA, T_SCHED));
                 }
             }
             for &p in &new_partitions {
                 let m = m_new(p.index());
                 if round == 1 {
                     plans.push(ground_atoms_plan(p, &m, names::TPI));
-                } else if p.arity() == 2 {
-                    plans.push(atoms_plan_legs(p, &m, T_FRESH, T_FRESH));
                 } else {
-                    plans.push(atoms_plan_legs(p, &m, T_FRESH, names::TPI));
-                    plans.push(atoms_plan_legs(p, &m, names::TPI, T_FRESH));
+                    plans.extend(frontier_atoms_plans(p, &m, T_FRESH, names::TPI));
                 }
             }
             let queries = plans.len();
@@ -1006,65 +1001,6 @@ fn tpi_join_keys() -> [Vec<usize>; 3] {
         vec![tpi::R, tpi::C1, tpi::Y, tpi::C2],
         vec![tpi::R, tpi::X, tpi::C1, tpi::Y, tpi::C2],
     ]
-}
-
-/// [`ground_atoms_plan`] with independently-named body legs, so each leg
-/// can scan a frontier table instead of the full `TΠ`.
-fn atoms_plan_legs(pattern: RulePattern, m_table: &str, t2: &str, t3: &str) -> Plan {
-    let spec = join_spec(pattern);
-    let mut plan = Plan::scan(m_table).hash_join(
-        Plan::scan(t2),
-        spec.m_keys1.clone(),
-        spec.t2_keys.clone(),
-    );
-    if spec.arity == 3 {
-        plan = plan.hash_join(Plan::scan(t3), spec.mid_keys2.clone(), spec.t3_keys.clone());
-    }
-    plan.project(vec![
-        (Expr::col(0), "R"),
-        (Expr::col(spec.x_col), "x"),
-        (Expr::col(spec.c1_col), "C1"),
-        (Expr::col(spec.y_col), "y"),
-        (Expr::col(spec.c2_col), "C2"),
-    ])
-    .distinct()
-}
-
-/// [`ground_factors_plan`] with independently-named body and head legs.
-fn factors_plan_legs(
-    pattern: RulePattern,
-    m_table: &str,
-    t2: &str,
-    t3: &str,
-    head: &str,
-) -> Plan {
-    let spec = join_spec(pattern);
-    let mut plan = Plan::scan(m_table).hash_join(
-        Plan::scan(t2),
-        spec.m_keys1.clone(),
-        spec.t2_keys.clone(),
-    );
-    let t_width = 7;
-    let mut head_off = spec.m_width + t_width;
-    if spec.arity == 3 {
-        plan = plan.hash_join(Plan::scan(t3), spec.mid_keys2.clone(), spec.t3_keys.clone());
-        head_off += t_width;
-    }
-    let plan = plan.hash_join(
-        Plan::scan(head),
-        spec.head_keys_mid.clone(),
-        spec.head_keys_t.clone(),
-    );
-    let i3 = match spec.i3_col {
-        Some(c) => Expr::col(c),
-        None => Expr::lit(Value::Null),
-    };
-    plan.project(vec![
-        (Expr::col(head_off + tpi::I), "I1"),
-        (Expr::col(spec.i2_col), "I2"),
-        (i3, "I3"),
-        (Expr::col(spec.w_col), "w"),
-    ])
 }
 
 #[cfg(test)]

@@ -4,12 +4,13 @@
 //! is reached (or a blow-up guard trips), applying constraints and
 //! redistributing after each iteration, then builds the ground factors.
 
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use probkb_kb::prelude::ProbKb;
 use probkb_relational::prelude::{Result, Row, Table, Value};
 
-use crate::engine::GroundingEngine;
+use crate::engine::{GroundingEngine, ViolatorKey};
 use crate::relmodel::{load, tphi, tpi, FactRegistry, RelationalKb};
 
 /// Tuning knobs for Algorithm 1.
@@ -139,7 +140,7 @@ pub struct GroundingOutcome {
     /// The iteration at which each inferred fact id was first derived
     /// (base facts are absent; they exist "at iteration 0"). Quality
     /// evaluation uses this to plot precision as inference proceeds.
-    pub fact_iteration: std::collections::HashMap<i64, usize>,
+    pub fact_iteration: HashMap<i64, usize>,
     /// Run statistics.
     pub report: GroundingReport,
 }
@@ -161,104 +162,202 @@ pub fn ground_loaded(
     engine: &mut dyn GroundingEngine,
     config: &GroundingConfig,
 ) -> Result<GroundingOutcome> {
+    apply_engine_knobs(engine, config);
+    let load_start = Instant::now();
+    engine.load(&rel)?;
+    let load_time = load_start.elapsed();
+
+    let mut run = GroundingRun::new(rel.registry);
+    if config.preclean {
+        run.preclean(engine)?;
+    }
+    while run.wants_step(config) {
+        run.step(engine, config)?;
+    }
+    let factors = run.ground_factors(engine)?;
+    run.finish(engine, load_time, factors)
+}
+
+/// Forward the config's scheduling knobs to the engine (before loading).
+pub(crate) fn apply_engine_knobs(engine: &mut dyn GroundingEngine, config: &GroundingConfig) {
     if let Some(threads) = config.threads {
         engine.set_threads(threads);
     }
     if let Some(optimize) = config.optimize {
         engine.set_optimize(optimize);
     }
-    let load_start = Instant::now();
-    engine.load(&rel)?;
-    let load_time = load_start.elapsed();
-    let mut registry = rel.registry;
+}
 
-    let mut precleaned = 0;
-    if config.preclean {
-        let violators = engine.find_violators()?;
-        precleaned = engine.delete_violators(&violators)?;
-        engine.redistribute()?;
+/// What one [`GroundingRun::step`] changed in the engine — exactly what a
+/// durable driver must log to re-apply the iteration without re-running
+/// its joins.
+#[derive(Debug)]
+pub(crate) struct StepApplied {
+    /// The `TΠ` rows the iteration appended (empty when it converged).
+    pub new_rows: Vec<Row>,
+    /// The violators the iteration deleted, sorted.
+    pub violators: Vec<ViolatorKey>,
+}
+
+/// The `TΦ` pass of a run: the canonical factor table and its cost.
+#[derive(Debug, Clone)]
+pub(crate) struct FactorPass {
+    pub table: Table,
+    pub queries: usize,
+    pub elapsed: Duration,
+}
+
+/// The driver-side state of one Algorithm 1 run, advanced one iteration
+/// at a time — the only implementation of the loop body. The plain
+/// driver ([`ground_loaded`]) steps it to completion; the checkpointed
+/// driver (`crate::checkpoint`) logs between steps and rebuilds one from
+/// disk to resume mid-run.
+#[derive(Debug)]
+pub(crate) struct GroundingRun {
+    pub registry: FactRegistry,
+    /// Facts deleted by the pre-inference cleaning pass; `None` until
+    /// that pass has run.
+    pub precleaned: Option<usize>,
+    pub iterations: Vec<IterationStats>,
+    pub fact_iteration: HashMap<i64, usize>,
+    pub converged: bool,
+    /// The `max_total_facts` guard tripped.
+    pub capped: bool,
+}
+
+impl GroundingRun {
+    /// A run about to start over a freshly loaded engine.
+    pub fn new(registry: FactRegistry) -> GroundingRun {
+        GroundingRun {
+            registry,
+            precleaned: None,
+            iterations: Vec::new(),
+            fact_iteration: HashMap::new(),
+            converged: false,
+            capped: false,
+        }
     }
 
-    let mut iterations = Vec::new();
-    let mut converged = false;
-    let mut fact_iteration = std::collections::HashMap::new();
-    for iteration in 1..=config.max_iterations {
+    /// Number of the last completed iteration (0 before the first).
+    pub fn last_iteration(&self) -> usize {
+        self.iterations.last().map_or(0, |s| s.iteration)
+    }
+
+    /// Whether Algorithm 1's loop has another iteration to run.
+    pub fn wants_step(&self, config: &GroundingConfig) -> bool {
+        !self.converged && !self.capped && self.last_iteration() < config.max_iterations
+    }
+
+    /// Record whether the blow-up guard trips at the current `TΠ` size.
+    pub fn check_cap(&mut self, config: &GroundingConfig) {
+        let facts_after = self.iterations.last().map_or(0, |s| s.facts_after);
+        self.capped = config.max_total_facts.is_some_and(|cap| facts_after > cap);
+    }
+
+    /// Query 3 once before iteration 1 (§6.1.1). Returns the violators
+    /// it deleted, sorted.
+    pub fn preclean(&mut self, engine: &mut dyn GroundingEngine) -> Result<Vec<ViolatorKey>> {
+        let violators = engine.find_violators()?;
+        self.precleaned = Some(engine.delete_violators(&violators)?);
+        engine.redistribute()?;
+        Ok(sorted_violators(&violators))
+    }
+
+    /// One iteration of Algorithm 1 (lines 3–7): ground atoms over every
+    /// partition, merge the new facts, apply constraints, redistribute.
+    pub fn step(
+        &mut self,
+        engine: &mut dyn GroundingEngine,
+        config: &GroundingConfig,
+    ) -> Result<StepApplied> {
+        let iteration = self.last_iteration() + 1;
         let start = Instant::now();
         let (candidates, mut queries) = engine.ground_atoms()?;
-        let new_rows = register_candidates(&mut registry, &candidates);
-        let new_facts = new_rows.len();
+        let new_rows = register_candidates(&mut self.registry, &candidates);
         for row in &new_rows {
-            fact_iteration.insert(row[0].as_int().expect("fact id"), iteration);
+            self.fact_iteration
+                .insert(row[tpi::I].as_int().expect("fact id"), iteration);
         }
-        if new_facts == 0 {
-            converged = true;
-            iterations.push(IterationStats {
-                iteration,
-                new_facts: 0,
-                deleted_facts: 0,
-                facts_after: engine.fact_count()?,
-                queries,
-                elapsed: start.elapsed(),
-            });
-            break;
-        }
-        engine.insert_facts(new_rows)?;
-
         let mut deleted_facts = 0;
-        if config.apply_constraints {
-            let violators = engine.find_violators()?;
-            queries += 2; // Type I + Type II violator queries
-            deleted_facts = engine.delete_violators(&violators)?;
+        let mut violators = Vec::new();
+        if new_rows.is_empty() {
+            self.converged = true;
+        } else {
+            engine.insert_facts(new_rows.clone())?;
+            if config.apply_constraints {
+                let found = engine.find_violators()?;
+                queries += 2; // Type I + Type II violator queries
+                deleted_facts = engine.delete_violators(&found)?;
+                violators = sorted_violators(&found);
+            }
+            engine.redistribute()?;
         }
-        engine.redistribute()?;
-
-        let facts_after = engine.fact_count()?;
-        iterations.push(IterationStats {
+        self.iterations.push(IterationStats {
             iteration,
-            new_facts,
+            new_facts: new_rows.len(),
             deleted_facts,
-            facts_after,
+            facts_after: engine.fact_count()?,
             queries,
             elapsed: start.elapsed(),
         });
-
-        if let Some(cap) = config.max_total_facts {
-            if facts_after > cap {
-                break;
-            }
-        }
+        self.check_cap(config);
+        Ok(StepApplied {
+            new_rows,
+            violators,
+        })
     }
 
-    let factor_start = Instant::now();
-    let (mut factors, factor_queries) = engine.ground_factors()?;
-    canonicalize_factors(&mut factors);
-    let factor_time = factor_start.elapsed();
-    let mut facts = engine.facts()?;
-    facts.sort_by_cols(&[tpi::I]);
+    /// Algorithm 1 lines 8–10: build `TΦ` in canonical order.
+    pub fn ground_factors(&self, engine: &mut dyn GroundingEngine) -> Result<FactorPass> {
+        let start = Instant::now();
+        let (mut table, queries) = engine.ground_factors()?;
+        canonicalize_factors(&mut table);
+        Ok(FactorPass {
+            table,
+            queries,
+            elapsed: start.elapsed(),
+        })
+    }
 
-    let report = GroundingReport {
-        engine: engine.name().to_string(),
-        load_time,
-        precleaned,
-        converged,
-        factor_time,
-        factor_queries,
-        total_facts: facts.len(),
-        total_factors: factors.len(),
-        iterations,
-    };
-    Ok(GroundingOutcome {
-        facts,
-        factors,
-        fact_iteration,
-        report,
-    })
+    /// Gather the final `TΠ` and assemble the outcome.
+    pub fn finish(
+        self,
+        engine: &mut dyn GroundingEngine,
+        load_time: Duration,
+        factors: FactorPass,
+    ) -> Result<GroundingOutcome> {
+        let mut facts = engine.facts()?;
+        facts.sort_by_cols(&[tpi::I]);
+        let report = GroundingReport {
+            engine: engine.name().to_string(),
+            load_time,
+            precleaned: self.precleaned.unwrap_or(0),
+            converged: self.converged,
+            factor_time: factors.elapsed,
+            factor_queries: factors.queries,
+            total_facts: facts.len(),
+            total_factors: factors.table.len(),
+            iterations: self.iterations,
+        };
+        Ok(GroundingOutcome {
+            facts,
+            factors: factors.table,
+            fact_iteration: self.fact_iteration,
+            report,
+        })
+    }
+}
+
+fn sorted_violators(set: &HashSet<ViolatorKey>) -> Vec<ViolatorKey> {
+    let mut v: Vec<ViolatorKey> = set.iter().copied().collect();
+    v.sort_unstable();
+    v
 }
 
 /// Dedupe candidates against everything ever seen, assign ids, and build
 /// the new `TΠ` rows (weight NULL — to be filled by marginal inference).
-/// Shared with the checkpointed driver (`crate::checkpoint`), which must
-/// mirror this loop exactly.
+/// Shared with the incremental replay (`crate::delta`), which registers
+/// its rounds the same way.
 ///
 /// Candidate row order depends on the physical plans the engine ran
 /// (join order, build sides, motions), but fact ids must not — so the
@@ -290,8 +389,7 @@ pub(crate) fn register_candidates(registry: &mut FactRegistry, candidates: &Tabl
 
 /// Sort `TΦ` into its canonical order (all four columns ascending), so
 /// the factor table is byte-identical no matter which physical plans
-/// produced it. Bag semantics are preserved — duplicates stay. Shared
-/// with the checkpointed driver, which must log the canonical table.
+/// produced it. Bag semantics are preserved — duplicates stay.
 pub(crate) fn canonicalize_factors(factors: &mut Table) {
     factors.sort_by_cols(&[tphi::I1, tphi::I2, tphi::I3, tphi::W]);
 }

@@ -11,12 +11,19 @@
 //! * [`queries`] — the grounding join plans (Queries 1-i, 2-i, 3) derived
 //!   from one shared [`queries::JoinSpec`] per pattern.
 //! * [`grounding`] — Algorithm 1: iterate to closure, apply constraints,
-//!   redistribute, then build ground factors.
+//!   redistribute, then build ground factors. One resumable stepper is
+//!   the only loop body; [`checkpoint`] drives the same stepper with a
+//!   WAL frame and periodic snapshots between steps.
 //! * [`engine`] — the backend trait, with three implementations:
-//!   [`single_node::SingleNodeEngine`] (PostgreSQL-style),
-//!   [`mpp_engine::MppEngine`] (Greenplum-style, with redistributed
-//!   materialized views), and [`tuffy::TuffyEngine`] (the per-rule,
-//!   per-relation-table baseline).
+//!   [`single_node::SingleNodeEngine`] (PostgreSQL-style; naive
+//!   Algorithm 1 via `new()`, frontier-restricted semi-naive evaluation
+//!   via `semi_naive()`), [`mpp_engine::MppEngine`] (Greenplum-style,
+//!   with redistributed materialized views), and [`tuffy::TuffyEngine`]
+//!   (the per-rule, per-relation-table baseline).
+//! * [`delta`] / [`delta_store`] — incremental expansion (`apply_delta`)
+//!   over the same frontier plans, and its WAL-backed durable session.
+//! * [`local`] — query-time budgeted local grounding.
+//! * [`explain`] — `EXPLAIN`-style rendering of grounding reports.
 //! * [`api`] — the high-level knowledge-expansion facade.
 //!
 //! ```
@@ -47,7 +54,6 @@ pub mod local;
 pub mod mpp_engine;
 pub mod queries;
 pub mod relmodel;
-pub mod semi_naive;
 pub mod single_node;
 pub mod tuffy;
 
@@ -82,7 +88,6 @@ pub mod prelude {
         candidate_schema, load, m2_schema, m3_schema, names, tomega_schema, tphi, tphi_schema,
         tpi, tpi_schema, FactRegistry, RelationalKb,
     };
-    pub use crate::semi_naive::SemiNaiveEngine;
     pub use crate::single_node::SingleNodeEngine;
     pub use crate::tuffy::TuffyEngine;
 }

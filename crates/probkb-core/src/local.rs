@@ -1,4 +1,4 @@
-//! Query-time local grounding (ROADMAP item 4).
+//! Query-time local grounding (DESIGN.md, "Local grounding").
 //!
 //! Batch grounding (Algorithm 1) materializes the *entire* closure and
 //! every ground factor before a single marginal can be served. For an

@@ -149,50 +149,67 @@ pub fn join_spec(pattern: RulePattern) -> JoinSpec {
 /// Query 1-i: apply every rule of partition `i` in one batch, producing
 /// candidate facts `(R, x, C1, y, C2)` with duplicates removed.
 pub fn ground_atoms_plan(pattern: RulePattern, m_table: &str, t_table: &str) -> Plan {
+    atoms_plan_legs(pattern, m_table, t_table, t_table)
+}
+
+/// Query 1-i with independently named body legs — the one definition of
+/// the `groundAtoms` join shape. `t2` feeds the first body atom and `t3`
+/// the second (ignored by length-2 patterns), so either leg can scan a
+/// frontier table instead of the full `TΠ`.
+pub(crate) fn atoms_plan_legs(pattern: RulePattern, m_table: &str, t2: &str, t3: &str) -> Plan {
     let spec = join_spec(pattern);
-    let mut plan = Plan::scan(m_table).hash_join(
-        Plan::scan(t_table),
-        spec.m_keys1.clone(),
-        spec.t2_keys.clone(),
-    );
-    if spec.arity == 3 {
-        plan = plan.hash_join(
-            Plan::scan(t_table),
-            spec.mid_keys2.clone(),
-            spec.t3_keys.clone(),
-        );
+    body_join(&spec, m_table, t2, t3)
+        .project(vec![
+            (Expr::col(0), "R"), // M.R1
+            (Expr::col(spec.x_col), "x"),
+            (Expr::col(spec.c1_col), "C1"),
+            (Expr::col(spec.y_col), "y"),
+            (Expr::col(spec.c2_col), "C2"),
+        ])
+        .distinct()
+}
+
+/// Semi-naive Query 1-i: only joins in which at least one body atom
+/// binds to a `frontier` row can derive a new head. Length-2 partitions
+/// need one plan (`Mi ⋈ Δ`); length-3 partitions need two
+/// (`Mi ⋈ Δ ⋈ T` and `Mi ⋈ T ⋈ Δ` — the `Δ ⋈ Δ` pairs are covered by
+/// both and removed by the caller's DISTINCT).
+pub(crate) fn frontier_atoms_plans(
+    pattern: RulePattern,
+    m_table: &str,
+    frontier: &str,
+    full: &str,
+) -> Vec<Plan> {
+    if pattern.arity() == 2 {
+        vec![atoms_plan_legs(pattern, m_table, frontier, frontier)]
+    } else {
+        vec![
+            atoms_plan_legs(pattern, m_table, frontier, full),
+            atoms_plan_legs(pattern, m_table, full, frontier),
+        ]
     }
-    plan.project(vec![
-        (Expr::col(0), "R"), // M.R1
-        (Expr::col(spec.x_col), "x"),
-        (Expr::col(spec.c1_col), "C1"),
-        (Expr::col(spec.y_col), "y"),
-        (Expr::col(spec.c2_col), "C2"),
-    ])
-    .distinct()
 }
 
 /// Query 2-i: build the ground factors `(I1, I2, I3, w)` for partition
 /// `i` by re-joining the body result with the head facts. Duplicate-free
 /// per Proposition 1, so no DISTINCT is applied.
 pub fn ground_factors_plan(pattern: RulePattern, m_table: &str, t_table: &str) -> Plan {
+    factors_plan_legs(pattern, m_table, t_table, t_table, t_table)
+}
+
+/// Query 2-i with independently named body and head legs — the one
+/// definition of the `groundFactors` join shape.
+pub(crate) fn factors_plan_legs(
+    pattern: RulePattern,
+    m_table: &str,
+    t2: &str,
+    t3: &str,
+    head: &str,
+) -> Plan {
     let spec = join_spec(pattern);
-    let mut plan = Plan::scan(m_table).hash_join(
-        Plan::scan(t_table),
-        spec.m_keys1.clone(),
-        spec.t2_keys.clone(),
-    );
-    let mut head_off = spec.m_width + T_WIDTH;
-    if spec.arity == 3 {
-        plan = plan.hash_join(
-            Plan::scan(t_table),
-            spec.mid_keys2.clone(),
-            spec.t3_keys.clone(),
-        );
-        head_off += T_WIDTH;
-    }
-    let plan = plan.hash_join(
-        Plan::scan(t_table),
+    let head_off = spec.m_width + (spec.arity - 1) * T_WIDTH;
+    let plan = body_join(&spec, m_table, t2, t3).hash_join(
+        Plan::scan(head),
         spec.head_keys_mid.clone(),
         spec.head_keys_t.clone(),
     );
@@ -206,6 +223,20 @@ pub fn ground_factors_plan(pattern: RulePattern, m_table: &str, t_table: &str) -
         (i3, "I3"),
         (Expr::col(spec.w_col), "w"),
     ])
+}
+
+/// The body join shared by Queries 1-i and 2-i: `Mi ⋈ t2 [⋈ t3]`.
+fn body_join(spec: &JoinSpec, m_table: &str, t2: &str, t3: &str) -> Plan {
+    let plan = Plan::scan(m_table).hash_join(
+        Plan::scan(t2),
+        spec.m_keys1.clone(),
+        spec.t2_keys.clone(),
+    );
+    if spec.arity == 3 {
+        plan.hash_join(Plan::scan(t3), spec.mid_keys2.clone(), spec.t3_keys.clone())
+    } else {
+        plan
+    }
 }
 
 /// `groundFactors(TΠ)` (Algorithm 1 line 10): every extracted fact with a
@@ -327,6 +358,57 @@ mod tests {
             assert!(atoms.describe().contains("HashDistinct"));
             assert!(factors.describe().contains("Project"));
         }
+    }
+
+    /// The whole plan tree, one `describe()` line per node.
+    fn tree(plan: &Plan) -> String {
+        let mut out = plan.describe();
+        for child in plan.children() {
+            out.push('\n');
+            out.push_str(&tree(child));
+        }
+        out
+    }
+
+    #[test]
+    fn single_table_plans_are_the_uniform_legged_case() {
+        // Every EXPLAIN golden pins the `(p, M, T)` builders; they must
+        // stay the all-legs-equal case of the legged ones.
+        for p in RulePattern::ALL {
+            assert_eq!(
+                tree(&ground_atoms_plan(p, "M", "T")),
+                tree(&atoms_plan_legs(p, "M", "T", "T"))
+            );
+            assert_eq!(
+                tree(&ground_factors_plan(p, "M", "T")),
+                tree(&factors_plan_legs(p, "M", "T", "T", "T"))
+            );
+        }
+    }
+
+    #[test]
+    fn frontier_plans_put_the_frontier_on_each_body_leg() {
+        use RulePattern::P3;
+        for p in RulePattern::ALL {
+            let plans = frontier_atoms_plans(p, "M", "FRONT", "FULL");
+            assert_eq!(plans.len(), p.arity() - 1);
+            for plan in &plans {
+                let tree = tree(plan);
+                assert!(tree.contains("FRONT"), "{tree}");
+                // Length-2 partitions never touch the full table.
+                assert_eq!(tree.contains("FULL"), p.arity() == 3, "{tree}");
+            }
+        }
+        let plans = frontier_atoms_plans(P3, "M", "FRONT", "FULL");
+        assert_eq!(
+            tree(&plans[0]),
+            tree(&atoms_plan_legs(P3, "M", "FRONT", "FULL"))
+        );
+        assert_eq!(
+            tree(&plans[1]),
+            tree(&atoms_plan_legs(P3, "M", "FULL", "FRONT"))
+        );
+        assert_ne!(tree(&plans[0]), tree(&plans[1]));
     }
 
     #[test]

@@ -10,6 +10,8 @@ use probkb_core::prelude::*;
 use probkb_kb::prelude::{parse, ProbKb};
 use probkb_mpp::prelude::NetworkModel;
 use probkb_storage::format::encode_table;
+use probkb_storage::snapshot::list_snapshots;
+use probkb_storage::wal::scan_wal;
 
 fn chain_kb(n: usize) -> ProbKb {
     let mut text = String::new();
@@ -41,8 +43,8 @@ fn result_bytes(outcome: &GroundingOutcome) -> (Vec<u8>, Vec<u8>) {
     (encode_table(&outcome.facts), encode_table(&outcome.factors))
 }
 
-fn semi_naive() -> SemiNaiveEngine {
-    SemiNaiveEngine::new()
+fn semi_naive() -> SingleNodeEngine {
+    SingleNodeEngine::semi_naive()
 }
 
 /// A finished checkpointed baseline plus the plain-run truth to diff
@@ -244,8 +246,8 @@ fn different_kb_invalidates_state() {
 #[test]
 fn different_engine_invalidates_state() {
     let base = baseline("engswap", 5);
-    // SemiNaiveEngine reports a different name than SingleNodeEngine, so
-    // its on-disk state must not be replayed into the other backend.
+    // The semi-naive mode reports a different engine name than the naive
+    // one, so state written by one is never replayed into the other.
     let mut plain = SingleNodeEngine::new();
     let truth = ground(&base.kb, &mut plain, &base.config).unwrap();
 
@@ -322,4 +324,97 @@ fn single_node_mid_run_truncation_resumes() {
     let resumed = ground_checkpointed(&kb, &mut engine, &config, &ckpt).unwrap();
     assert_eq!(result_bytes(&resumed.outcome), result_bytes(&truth));
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// What [`GroundingReport::iterations`] must reproduce: counts, not timings.
+fn iteration_counts(outcome: &GroundingOutcome) -> Vec<[usize; 5]> {
+    let iterations = &outcome.report.iterations;
+    iterations
+        .iter()
+        .map(|i| [i.iteration, i.new_facts, i.deleted_facts, i.facts_after, i.queries])
+        .collect()
+}
+
+/// Rewind a finished checkpoint directory to what a process killed right
+/// after committing iteration `k`'s WAL frame leaves behind: the log up
+/// to that frame, and only the snapshots written by then.
+fn rewind_to_kill_after(dir: &Path, k: usize, last: usize) {
+    let scan = scan_wal(&wal_path(dir)).unwrap();
+    // Frame 0 is Begin; without preclean, frame `i` is iteration `i`.
+    let wal = fs::read(wal_path(dir)).unwrap();
+    fs::write(wal_path(dir), &wal[..scan.frame_ends[k] as usize]).unwrap();
+    for (iteration, path) in list_snapshots(dir) {
+        // The final snapshot (written after the loop) shares its name
+        // with the last iteration's; a killed run never wrote it.
+        if iteration > k || iteration == last {
+            fs::remove_file(path).unwrap();
+        }
+    }
+}
+
+#[test]
+fn kill_after_every_iteration_reproduces_report_and_bytes() {
+    // A reachability chain whose source outgrows `functional reach 1 3`
+    // mid-run, so constraint deletions land in the log and the replay.
+    let mut text = String::new();
+    for i in 0..6 {
+        text.push_str(&format!("fact 0.9 next(n{}:Node, n{}:Node)\n", i, i + 1));
+    }
+    text.push_str("rule 1.0 reach(x:Node, y:Node) :- next(x, y)\n");
+    text.push_str("rule 1.0 reach(x:Node, y:Node) :- reach(x, z:Node), next(z, y)\n");
+    text.push_str("functional reach 1 3\n");
+    let kb = parse(&text).unwrap().build();
+    let config = GroundingConfig::default();
+    assert!(config.apply_constraints);
+
+    let modes: [(&str, fn() -> SingleNodeEngine); 2] = [
+        ("naive", SingleNodeEngine::new),
+        ("semi-naive", SingleNodeEngine::semi_naive),
+    ];
+    for (mode, fresh_engine) in modes {
+        let truth = ground(&kb, &mut fresh_engine(), &config).unwrap();
+        let last = truth.report.iterations.len();
+        assert!(last >= 3, "{mode}: want a multi-iteration run");
+        // The converging iteration writes no periodic snapshot, so the
+        // last iteration's snapshot file is always the post-loop one.
+        assert!(truth.report.converged, "{mode}");
+        assert!(
+            truth.report.iterations.iter().any(|i| i.deleted_facts > 0),
+            "{mode}: want constraint deletions mid-run"
+        );
+
+        let dir = tmp_dir(&format!("killeach-{mode}"));
+        let ckpt = CheckpointConfig {
+            snapshot_every: 2,
+            ..CheckpointConfig::new(&dir)
+        };
+        let full = ground_checkpointed(&kb, &mut fresh_engine(), &config, &ckpt).unwrap();
+        assert_eq!(iteration_counts(&full.outcome), iteration_counts(&truth));
+
+        let work = tmp_dir(&format!("killeach-{mode}-work"));
+        for k in 1..=last {
+            copy_dir(&dir, &work);
+            rewind_to_kill_after(&work, k, last);
+            let ckpt = CheckpointConfig {
+                snapshot_every: 2,
+                ..CheckpointConfig::new(&work)
+            };
+            let run = ground_checkpointed(&kb, &mut fresh_engine(), &config, &ckpt).unwrap();
+            assert!(run.resume.resumed(), "{mode}: kill after {k}");
+            assert!(!run.resume.completed_on_disk, "{mode}: kill after {k}");
+            assert_eq!(
+                iteration_counts(&run.outcome),
+                iteration_counts(&truth),
+                "{mode}: report diverged after a kill at iteration {k}"
+            );
+            assert_eq!(
+                result_bytes(&run.outcome),
+                result_bytes(&truth),
+                "{mode}: bytes diverged after a kill at iteration {k}"
+            );
+            assert_eq!(run.outcome.fact_iteration, truth.fact_iteration);
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&work);
+    }
 }

@@ -20,7 +20,7 @@
 use std::path::PathBuf;
 
 use probkb::core::checkpoint::{ground_checkpointed, CheckpointConfig};
-use probkb::core::prelude::{GroundingConfig, SemiNaiveEngine};
+use probkb::core::prelude::{GroundingConfig, SingleNodeEngine};
 use probkb::factorgraph::prelude::from_phi;
 use probkb::inference::prelude::{gibbs_marginals, GibbsConfig};
 use probkb::kb::prelude::parse;
@@ -51,7 +51,7 @@ fn main() {
     }
 
     let config = GroundingConfig::default();
-    let mut engine = SemiNaiveEngine::new();
+    let mut engine = SingleNodeEngine::semi_naive();
     let run = ground_checkpointed(&kb, &mut engine, &config, &ckpt)
         .expect("checkpointed grounding succeeds");
 

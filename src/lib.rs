@@ -15,9 +15,9 @@
 //! | [`relational`] | in-memory set-oriented relational engine (PostgreSQL stand-in) |
 //! | [`mpp`] | shared-nothing MPP simulator with motions + redistributed views (Greenplum stand-in) |
 //! | [`kb`] | the probabilistic KB model: entities, classes, typed facts, Horn rules, constraints |
-//! | [`core`] | the paper's contribution: relational MLN model + batch grounding (Algorithm 1) |
+//! | [`core`] | the paper's contribution: relational MLN model + batch grounding (Algorithm 1; one single-node engine with naive and semi-naive modes, MPP, Tuffy baseline), checkpointing, incremental deltas, local grounding |
 //! | [`factorgraph`] | ground factor graphs, lineage, coloring, JSON export |
-//! | [`inference`] | Gibbs sampling (sequential + chromatic parallel) and an exact oracle |
+//! | [`inference`] | Gibbs sampling (sequential, chromatic parallel, partitioned multi-chain) and an exact oracle |
 //! | [`quality`] | constraints, ambiguity detection, rule cleaning, precision evaluation |
 //! | [`datagen`] | ReVerb-Sherlock-style synthetic workloads with ground truth |
 //! | [`storage`] | durable storage: snapshots, write-ahead log, checkpoint codecs |

@@ -86,11 +86,18 @@ fn config(optimize: bool, threads: usize, constrained: bool) -> GroundingConfig 
 }
 
 /// Byte-level fingerprint of a grounding outcome: the Debug rendering
-/// includes schemas, every row, and row order.
-fn fingerprint(out: &GroundingOutcome) -> (String, String) {
+/// includes schemas, every row, and row order; the per-iteration
+/// `(new_facts, deleted_facts, facts_after)` triples hold every engine to
+/// the oracle's *report*, not only its final tables.
+fn fingerprint(out: &GroundingOutcome) -> (String, String, Vec<(usize, usize, usize)>) {
     (
         format!("{:?}", out.facts),
         format!("{:?}", out.factors),
+        out.report
+            .iterations
+            .iter()
+            .map(|i| (i.new_facts, i.deleted_facts, i.facts_after))
+            .collect(),
     )
 }
 
@@ -99,8 +106,8 @@ proptest! {
 
     /// The full differential matrix: unoptimized serial single-node is
     /// the oracle; the optimizer, the fork-join pool, the semi-naive
-    /// engine, and both MPP modes must reproduce its facts and factors
-    /// byte for byte.
+    /// mode, and both MPP modes must reproduce its facts and factors
+    /// byte for byte, and its per-iteration counts.
     #[test]
     fn all_plans_ground_byte_identically(seed in any::<u64>(), constrained in any::<bool>()) {
         let kb = random_six_pattern_kb(seed, constrained);
@@ -121,7 +128,7 @@ proptest! {
         prop_assert_eq!(&fingerprint(&out), &expected, "threads=4 vs oracle");
 
         // Semi-naive evaluation with the optimizer on.
-        let mut e = SemiNaiveEngine::new();
+        let mut e = SingleNodeEngine::semi_naive();
         let out = ground(&kb, &mut e, &config(true, 1, constrained)).expect("semi-naive");
         prop_assert_eq!(&fingerprint(&out), &expected, "semi-naive vs oracle");
 
