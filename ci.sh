@@ -33,12 +33,15 @@ for optimize in 0 1; do
     --test differential_plans --test incremental_stats
 done
 
-# The partitioned Gibbs sampler must be invariant under its own worker
-# pool: marginals, diagnostics, and R̂ early stops are a pure function of
-# (seed, chains) at any PROBKB_GIBBS_WORKERS setting.
+# The Gibbs sampler must be invariant under its own worker pool:
+# marginals, diagnostics, and R̂ early stops are a pure function of
+# (seed, chains) at any PROBKB_GIBBS_WORKERS setting. It is the only
+# sampler, so the default pipeline (determinism, end_to_end) runs on the
+# pool too.
 for workers in 1 4; do
   PROBKB_GIBBS_WORKERS=$workers cargo test -q --offline \
-    --test inference_parallel --test incremental_inference --test local_grounding
+    --test inference_parallel --test incremental_inference --test local_grounding \
+    --test determinism --test end_to_end
 done
 
 # Out-of-core storage must be invisible to results: every catalog forced
@@ -68,7 +71,8 @@ cargo run --release --offline -p probkb-bench --bin outofcore -- --scale 0.02 --
 # pool sweep) must stay compiling.
 cargo bench --offline --no-run --workspace
 
-# Gibbs bench smoke: the sampler sweep and the convergence-control
+# Gibbs bench smoke: the partitioned sampler's worker sweep, the masked
+# warm pass (the shape apply_delta runs) and the convergence-control
 # comparison (fixed vs R̂-stopped) must run end to end; MICROBENCH_SAMPLES
 # keeps it to a smoke pass.
 MICROBENCH_SAMPLES=1 cargo bench --offline -p probkb-bench --bench gibbs

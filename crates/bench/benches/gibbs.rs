@@ -1,8 +1,9 @@
-//! Criterion microbenchmarks for the inference stage: sequential vs
-//! chromatic vs partitioned multi-chain Gibbs sweeps over a
-//! grounding-shaped factor graph, plus a convergence-control comparison
-//! (fixed schedule vs R̂-triggered early stop) with `samples/sec/worker`
-//! throughput lines.
+//! Criterion microbenchmarks for the inference stage: the partitioned
+//! multi-chain Gibbs kernel over a grounding-shaped factor graph — a
+//! worker sweep of full runs, a masked warm pass (10 % of the variables
+//! touched, the shape `apply_delta` runs), and a convergence-control
+//! comparison (fixed schedule vs R̂-triggered early stop) with
+//! `samples/sec/worker` throughput lines.
 
 use probkb_support::microbench::{BenchmarkId, Criterion};
 use probkb_support::{criterion_group, criterion_main};
@@ -45,39 +46,19 @@ fn bench_samplers(c: &mut Criterion) {
     let vars = gg.graph.num_vars();
     let mut group = c.benchmark_group(format!("gibbs_{vars}_vars_20_sweeps"));
     group.sample_size(10);
-    // Benchmark a 20-sweep schedule through each sampler's `run` path so
-    // the chromatic sampler's persistent worker pool is what's measured.
     let schedule = GibbsConfig {
         burn_in: 0,
         samples: 20,
         seed: 1,
+        chains: 2,
+        workers: Some(1),
         ..GibbsConfig::default()
     };
 
-    group.bench_function(BenchmarkId::new("sequential", 1), |b| {
-        b.iter(|| {
-            let m = GibbsSampler::new(&gg.graph, 1).run(&schedule);
-            std::hint::black_box(m.p[0])
-        });
-    });
-
-    for threads in [2usize, 4, 8] {
-        group.bench_function(BenchmarkId::new("chromatic", threads), |b| {
-            b.iter(|| {
-                let m = ChromaticGibbs::new(&gg.graph, threads, 1).run(&schedule);
-                std::hint::black_box(m.p[0])
-            });
-        });
-    }
-
     for workers in [1usize, 2, 4, 8] {
         let config = GibbsConfig {
-            burn_in: 0,
-            samples: 20,
-            seed: 1,
-            chains: 2,
             workers: Some(workers),
-            ..GibbsConfig::default()
+            ..schedule
         };
         let sampler = PartitionedGibbs::new(&gg.graph, &config);
         let mut last = None;
@@ -96,6 +77,27 @@ fn bench_samplers(c: &mut Criterion) {
             );
         }
     }
+
+    // The scoped path: every tenth variable touched, chains warm-started
+    // from a full run's final states. Includes the per-pass schedule
+    // compilation `apply_delta` pays (plan, sharding, mask).
+    let coloring = color(&gg.graph);
+    let all: Vec<VarId> = (0..vars).collect();
+    let touched: Vec<VarId> = (0..vars).step_by(10).collect();
+    let cold = blanket_resample_with(&gg.graph, &coloring, &all, &[], &[], &schedule);
+    group.bench_function(BenchmarkId::new("masked_10pct_warm", 1), |b| {
+        b.iter(|| {
+            let run = blanket_resample_with(
+                &gg.graph,
+                &coloring,
+                &touched,
+                &cold.states,
+                &cold.marginals.p,
+                &schedule,
+            );
+            std::hint::black_box(run.marginals.p[0])
+        });
+    });
     group.finish();
 }
 

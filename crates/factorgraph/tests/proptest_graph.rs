@@ -36,23 +36,18 @@ proptest! {
         prop_assert_eq!(total, g.num_vars());
     }
 
-    /// flip_delta (mutating) and flip_delta_ro (read-only) agree, and both
-    /// equal the brute-force log-score difference.
+    /// flip_delta_ro equals the brute-force log-score difference.
     #[test]
-    fn flip_deltas_agree(g in arb_graph(), bits in prop::collection::vec(any::<bool>(), 12)) {
+    fn flip_delta_matches_log_score(g in arb_graph(), bits in prop::collection::vec(any::<bool>(), 12)) {
         let assignment: Vec<bool> = (0..g.num_vars()).map(|v| bits[v]).collect();
         for v in 0..g.num_vars() {
             let ro = g.flip_delta_ro(v, &assignment);
-            let mut copy = assignment.clone();
-            let mutating = g.flip_delta(v, &mut copy);
-            prop_assert_eq!(&copy, &assignment, "flip_delta must restore state");
             let mut hi = assignment.clone();
             hi[v] = true;
             let mut lo = assignment.clone();
             lo[v] = false;
             let brute = g.log_score(&hi) - g.log_score(&lo);
             prop_assert!((ro - brute).abs() < 1e-9);
-            prop_assert!((mutating - brute).abs() < 1e-9);
         }
     }
 

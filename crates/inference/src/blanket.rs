@@ -2,26 +2,24 @@
 //!
 //! When a delta is applied to a live KB, only the variables the new
 //! factors touch — and their Markov blanket — have changed conditionals;
-//! everything else's marginal estimate is still valid. This sampler
-//! resamples exactly that touched set with warm-started chains, keeping
-//! the partitioned sampler's determinism contract: one RNG stream per
-//! `(seed, chain, sweep, shard)`, untouched variables draw nothing, so
-//! results are a pure function of `(graph, coloring, touched, warm
-//! states, config)` at **any** worker count.
+//! everything else's marginal estimate is still valid. A blanket pass is
+//! the partitioned sampler's one Gibbs loop
+//! ([`crate::partitioned::PartitionedGibbs`]) run with a touched-variable
+//! mask from warm chain states, so it keeps that sampler's determinism
+//! contract: one RNG stream per `(seed, chain, sweep, shard)`, untouched
+//! variables draw nothing, and results are a pure function of `(graph,
+//! coloring, touched, warm states, config)` at **any** worker count.
 //!
-//! With `touched` = all variables and cold (all-false) chains, a run is
-//! draw-for-draw identical to the fixed-schedule
-//! [`crate::partitioned::PartitionedGibbs`] run — the incremental path
-//! degrades gracefully to the full restart it replaces.
+//! With `touched` = all variables and cold (all-false) chains, a pass
+//! *is* the full run `partitioned_marginals` performs — the incremental
+//! path degrades gracefully to the restart it replaces.
 
 use std::time::{Duration, Instant};
 
 use probkb_factorgraph::prelude::{color, Coloring, FactorGraph, VarId};
-use probkb_support::rng::{Rng, SeedableRng, StdRng};
-use probkb_support::sync::{for_each_chunk_mut, map_chunks};
 
-use crate::gibbs::{sigmoid, GibbsConfig, Marginals};
-use crate::partitioned::{shard_seed, BatchedPlan, SHARD_SIZE};
+use crate::gibbs::{GibbsConfig, Marginals};
+use crate::partitioned::PartitionedGibbs;
 
 /// The seed variables of a delta plus their Markov blanket: every
 /// variable whose conditional distribution an update to `seeds` can have
@@ -120,9 +118,9 @@ pub fn blanket_resample(
 /// * `prior[v]` supplies the marginal reported for untouched variables
 ///   (missing entries default to 0.0 — new variables are always in the
 ///   touched set, so this only pads degenerate inputs).
-/// * The schedule is the fixed `burn_in` + `samples` sweep budget of
-///   [`GibbsConfig`]; convergence control does not apply to the scoped
-///   pass.
+/// * The schedule is the one [`GibbsConfig`] describes, as for a full run:
+///   `burn_in` + `samples` sweeps, or under `target_rhat` blocks until the
+///   touched variables' split-R̂ reaches it (capped by `max_sweeps`).
 pub fn blanket_resample_with(
     graph: &FactorGraph,
     coloring: &Coloring,
@@ -132,167 +130,31 @@ pub fn blanket_resample_with(
     config: &GibbsConfig,
 ) -> BlanketRun {
     let start = Instant::now();
-    let n = graph.num_vars();
-    let chains = config.chains.max(1);
-    let workers = config.resolved_workers();
-    let outer = workers.min(chains).max(1);
-    let inner = (workers / outer).max(1);
-
-    let mut mask = vec![false; n];
-    for &v in touched {
-        mask[v] = true;
+    let sampler = PartitionedGibbs::with_coloring(graph, coloring, config);
+    let run = sampler.sample(touched, warm);
+    let mut p = prior.to_vec();
+    p.resize(graph.num_vars(), 0.0);
+    for (&v, &estimate) in run.touched.iter().zip(&run.p) {
+        p[v] = estimate;
     }
-    let touched_count = mask.iter().filter(|&&m| m).count();
-
-    let partitioning = coloring.partition(SHARD_SIZE);
-    // Per-shard lists of touched variables, in shard order. Sweeps visit
-    // exactly these — cost scales with the blanket, not the graph — and
-    // the lists are a pure function of (coloring, touched), not workers.
-    let shard_touched: Vec<Vec<VarId>> = partitioning
-        .shards
-        .iter()
-        .map(|s| {
-            coloring
-                .shard_vars(s)
-                .iter()
-                .copied()
-                .filter(|&v| mask[v])
-                .collect()
-        })
-        .collect();
-    let active_shards = shard_touched.iter().filter(|t| !t.is_empty()).count();
-    // Touched variables in ascending order, for O(touched) count updates.
-    let touched_list: Vec<VarId> = mask
-        .iter()
-        .enumerate()
-        .filter_map(|(v, &m)| m.then_some(v))
-        .collect();
-    // Per color class, the indices of shards that hold a touched variable
-    // — the only shards that do work or consume randomness. Computed once;
-    // the sweep loop below runs hundreds of times.
-    let class_shards: Vec<Vec<usize>> = (0..coloring.num_colors())
-        .map(|class| {
-            partitioning
-                .shards_of(class)
-                .iter()
-                .filter(|s| !shard_touched[s.index].is_empty())
-                .map(|s| s.index)
-                .collect()
-        })
-        .collect();
-
-    let mut states: Vec<Vec<bool>> = (0..chains)
-        .map(|c| {
-            let mut s = warm.get(c).cloned().unwrap_or_default();
-            s.resize(n, false);
-            s
-        })
-        .collect();
-
-    let mut report = BlanketReport {
-        touched: touched_count,
-        vars: n,
-        colors: coloring.num_colors(),
-        active_shards,
-        shards: partitioning.num_shards(),
-        chains,
-        workers,
-        burn_in: config.burn_in,
-        sweeps: config.samples,
-        elapsed: Duration::ZERO,
-    };
-
-    if touched_count == 0 || n == 0 {
-        report.burn_in = 0;
-        report.sweeps = 0;
-        report.elapsed = start.elapsed();
-        let mut p = vec![0.0f64; n];
-        for (v, slot) in p.iter_mut().enumerate() {
-            *slot = prior.get(v).copied().unwrap_or(0.0);
-        }
-        return BlanketRun {
-            marginals: Marginals { p, samples: 0 },
-            states,
-            report,
-        };
-    }
-
-    let plan = BatchedPlan::build(graph);
-
-    let sweep_chain = |chain_id: u64, state: &mut [bool], sweep: u64| {
-        for shards in &class_shards {
-            if shards.is_empty() {
-                continue;
-            }
-            let frozen: &[bool] = state;
-            let updates = map_chunks(shards, inner, |_, part| {
-                let mut out = Vec::new();
-                for &idx in part {
-                    let mut rng =
-                        StdRng::seed_from_u64(shard_seed(config.seed, chain_id, sweep, idx as u64));
-                    for &v in &shard_touched[idx] {
-                        let delta = plan.delta(graph, v, frozen);
-                        out.push((v, rng.random::<f64>() < sigmoid(delta)));
-                    }
-                }
-                out
-            });
-            for (v, value) in updates {
-                state[v] = value;
-            }
-        }
-    };
-
-    struct Chain {
-        id: usize,
-        state: Vec<bool>,
-        counts: Vec<u64>,
-    }
-    let mut units: Vec<Chain> = states
-        .drain(..)
-        .enumerate()
-        .map(|(id, state)| Chain {
-            id,
-            state,
-            counts: vec![0u64; n],
-        })
-        .collect();
-    for_each_chunk_mut(&mut units, outer, |_, part| {
-        for chain in part {
-            let chain_id = chain.id as u64;
-            for sweep in 0..config.burn_in as u64 {
-                sweep_chain(chain_id, &mut chain.state, sweep);
-            }
-            for s in 0..config.samples as u64 {
-                sweep_chain(chain_id, &mut chain.state, config.burn_in as u64 + s);
-                // Only touched variables change; accumulating the whole
-                // state would cost O(vars) per sweep for nothing.
-                for &v in &touched_list {
-                    chain.counts[v] += chain.state[v] as u64;
-                }
-            }
-        }
-    });
-
-    let denom = (chains * config.samples.max(1)) as f64;
-    let mut p = vec![0.0f64; n];
-    for (v, slot) in p.iter_mut().enumerate() {
-        if mask[v] {
-            let total: u64 = units.iter().map(|c| c.counts[v]).sum();
-            *slot = total as f64 / denom;
-        } else {
-            *slot = prior.get(v).copied().unwrap_or(0.0);
-        }
-    }
-    let states: Vec<Vec<bool>> = units.into_iter().map(|c| c.state).collect();
-    report.elapsed = start.elapsed();
     BlanketRun {
         marginals: Marginals {
             p,
-            samples: config.samples,
+            samples: run.report.sweeps,
         },
-        states,
-        report,
+        states: run.states,
+        report: BlanketReport {
+            touched: run.report.vars,
+            vars: graph.num_vars(),
+            colors: run.report.colors,
+            active_shards: run.report.shards,
+            shards: sampler.num_shards(),
+            chains: run.report.chains,
+            workers: run.report.workers,
+            burn_in: run.report.burn_in,
+            sweeps: run.report.sweeps,
+            elapsed: start.elapsed(),
+        },
     }
 }
 
@@ -377,6 +239,36 @@ mod tests {
                 Some(b) => assert_eq!(&run.marginals.p, b, "workers={workers}"),
             }
         }
+    }
+
+    #[test]
+    fn masked_pass_honours_convergence_control() {
+        // The scoped pass runs the config's schedule like a full run:
+        // under `target_rhat` it stops on the touched variables' R̂ — at
+        // the same sweep for any worker count — and never looks at the
+        // untouched ones (frozen at different values per chain here, which
+        // would read as R̂ = ∞).
+        let g = chain_graph(12);
+        let warm = vec![vec![true; 12], vec![false; 12]];
+        let run = |workers: usize| {
+            let cfg = GibbsConfig {
+                workers: Some(workers),
+                target_rhat: Some(1.05),
+                max_sweeps: 20_000,
+                ..config(0)
+            };
+            blanket_resample(&g, &[8, 9, 10, 11], &warm, &[0.5; 12], &cfg)
+        };
+        let a = run(1);
+        assert!(
+            a.report.sweeps > 0 && a.report.sweeps < 20_000,
+            "{}",
+            a.report.annotate()
+        );
+        assert_eq!(a.marginals.samples, a.report.sweeps);
+        let b = run(4);
+        assert_eq!(a.report.sweeps, b.report.sweeps);
+        assert_eq!(a.marginals.p, b.marginals.p);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Exact marginal inference by enumeration — the test oracle that keeps
-//! the samplers honest on small graphs.
+//! the sampler honest on small graphs.
 
 use probkb_factorgraph::prelude::FactorGraph;
 
@@ -7,7 +7,7 @@ use probkb_factorgraph::prelude::FactorGraph;
 ///
 /// # Panics
 /// Panics when the graph has more than 24 variables (enumeration would be
-/// unreasonable; use the samplers).
+/// unreasonable; use the sampler).
 pub fn exact_marginals(graph: &FactorGraph) -> Vec<f64> {
     let n = graph.num_vars();
     assert!(n <= 24, "exact inference limited to 24 variables, got {n}");

@@ -1,19 +1,12 @@
-//! Sequential Gibbs sampling for marginal inference (§2.2).
+//! What every Gibbs run shares (§2.2): the schedule configuration, the
+//! marginal estimates it produces, and the logistic conditional.
 //!
 //! ProbKB performs *marginal* inference so results can be stored back in
-//! the knowledge base. The sampler sweeps all variables, resampling each
-//! from its conditional given its Markov blanket; the conditional logit is
-//! exactly [`FactorGraph::flip_delta`].
+//! the knowledge base. The sampler itself — one kernel for full runs and
+//! for blanket-scoped passes — lives in [`crate::partitioned`].
 
-use probkb_factorgraph::prelude::FactorGraph;
-use probkb_support::rng::{Rng, SeedableRng, StdRng};
-
-/// Sampler configuration.
-///
-/// The sequential [`GibbsSampler`] and the chromatic sampler read only
-/// `burn_in`/`samples`/`seed`; the partitioned multi-chain sampler
-/// (`crate::partitioned`) additionally honours `chains`, `workers`, and
-/// the convergence-control fields.
+/// Sampler configuration, read by the partitioned sampler for full runs
+/// and blanket-scoped passes alike.
 #[derive(Debug, Clone, Copy)]
 pub struct GibbsConfig {
     /// Sweeps discarded before estimation starts.
@@ -99,69 +92,6 @@ impl Marginals {
     }
 }
 
-/// A sequential Gibbs sampler over a factor graph.
-pub struct GibbsSampler<'a> {
-    graph: &'a FactorGraph,
-    state: Vec<bool>,
-    rng: StdRng,
-}
-
-impl<'a> GibbsSampler<'a> {
-    /// Initialize with every variable false and the given seed.
-    pub fn new(graph: &'a FactorGraph, seed: u64) -> Self {
-        GibbsSampler {
-            graph,
-            state: vec![false; graph.num_vars()],
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The current assignment.
-    pub fn state(&self) -> &[bool] {
-        &self.state
-    }
-
-    /// Resample one variable from its conditional.
-    pub fn resample(&mut self, v: usize) {
-        let delta = self.graph.flip_delta(v, &mut self.state);
-        let p_true = sigmoid(delta);
-        self.state[v] = self.rng.random::<f64>() < p_true;
-    }
-
-    /// One full sweep over all variables.
-    pub fn sweep(&mut self) {
-        for v in 0..self.graph.num_vars() {
-            self.resample(v);
-        }
-    }
-
-    /// Run burn-in plus sampling sweeps and estimate marginals.
-    pub fn run(&mut self, config: &GibbsConfig) -> Marginals {
-        for _ in 0..config.burn_in {
-            self.sweep();
-        }
-        let mut counts = vec![0u64; self.graph.num_vars()];
-        for _ in 0..config.samples {
-            self.sweep();
-            for (count, &bit) in counts.iter_mut().zip(self.state.iter()) {
-                *count += bit as u64;
-            }
-        }
-        Marginals {
-            p: counts
-                .iter()
-                .map(|&c| c as f64 / config.samples.max(1) as f64)
-                .collect(),
-            samples: config.samples,
-        }
-    }
-}
-
-/// Run a fresh sampler with a config.
-pub fn gibbs_marginals(graph: &FactorGraph, config: &GibbsConfig) -> Marginals {
-    GibbsSampler::new(graph, config.seed).run(config)
-}
-
 /// Numerically stable logistic function.
 pub fn sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
@@ -175,7 +105,6 @@ pub fn sigmoid(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use probkb_factorgraph::prelude::Factor;
 
     #[test]
     fn sigmoid_basics() {
@@ -183,65 +112,6 @@ mod tests {
         assert!(sigmoid(30.0) > 0.999999);
         assert!(sigmoid(-30.0) < 1e-6);
         assert!((sigmoid(2.0) + sigmoid(-2.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_variable_marginal_matches_closed_form() {
-        // One var, singleton weight w: P(x=1) = e^w / (1 + e^w).
-        let w = 1.2;
-        let g = FactorGraph::new(1, vec![Factor::singleton(0, w)]);
-        let m = gibbs_marginals(
-            &g,
-            &GibbsConfig {
-                burn_in: 100,
-                samples: 20000,
-                seed: 7,
-                ..GibbsConfig::default()
-            },
-        );
-        let expected = sigmoid(w);
-        assert!(
-            (m.p[0] - expected).abs() < 0.02,
-            "got {}, want {expected}",
-            m.p[0]
-        );
-    }
-
-    #[test]
-    fn implication_raises_head_probability() {
-        // Strong body, strong rule: head should be likely even with no
-        // direct evidence.
-        let g = FactorGraph::new(
-            2,
-            vec![
-                Factor::singleton(0, 3.0),
-                Factor::rule(1, vec![0], 2.0),
-            ],
-        );
-        let m = gibbs_marginals(&g, &GibbsConfig::default());
-        assert!(m.p[0] > 0.9);
-        assert!(m.p[1] > 0.7, "head marginal {}", m.p[1]);
-        // An isolated variable with no factors sits near 0.5.
-        let free = FactorGraph::new(1, vec![]);
-        let mf = gibbs_marginals(&free, &GibbsConfig::default());
-        assert!((mf.p[0] - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let g = FactorGraph::new(
-            2,
-            vec![Factor::singleton(0, 0.5), Factor::rule(1, vec![0], 1.0)],
-        );
-        let config = GibbsConfig {
-            burn_in: 10,
-            samples: 100,
-            seed: 42,
-            ..GibbsConfig::default()
-        };
-        let a = gibbs_marginals(&g, &config);
-        let b = gibbs_marginals(&g, &config);
-        assert_eq!(a.p, b.p);
     }
 
     #[test]

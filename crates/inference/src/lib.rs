@@ -4,18 +4,20 @@
 //! for the external engine (GraphLab + parallel Gibbs) the paper hands
 //! its grounding output to (Figure 1, §2.2).
 //!
-//! * [`gibbs`] — sequential Gibbs sampling with burn-in/sample phases.
-//! * [`parallel`] — chromatic parallel Gibbs: color classes resampled
-//!   concurrently from a shared snapshot (Gonzalez et al. \[14\]).
-//! * [`partitioned`] — the production path: partition-sharded multi-chain
-//!   Gibbs on the fork-join pool (`PROBKB_GIBBS_WORKERS`) with
-//!   shape-batched factor evaluation and online convergence control.
-//! * [`blanket`] — Markov-blanket-scoped resampling with warm-started
-//!   chains for incremental expansion (`apply_delta`).
+//! * [`partitioned`] — the one Gibbs kernel: partition-sharded
+//!   multi-chain sampling on the fork-join pool (`PROBKB_GIBBS_WORKERS`)
+//!   with shape-batched factor evaluation and online convergence control.
+//!   A full run resamples everything from a cold start.
+//! * [`blanket`] — the same kernel run with a touched-variable mask from
+//!   warm chains: Markov-blanket-scoped resampling for incremental
+//!   expansion (`apply_delta`).
+//! * [`gibbs`] — what both share: `GibbsConfig`, `Marginals`, `sigmoid`.
+//! * [`bp`] — deterministic loopy belief propagation; [`map`] — MAP
+//!   search (ICM, annealing).
 //! * [`diagnostics`] — split-R̂ (Gelman–Rubin) and effective-sample-size
 //!   estimators, incremental across chains.
 //! * [`exact`] — brute-force enumeration oracle (≤ 24 variables) used by
-//!   the test suite to validate the samplers.
+//!   the test suite to validate the sampler.
 //! * [`writeback`] — store estimated marginals back into `TΠ` weights so
 //!   queries need no inference at run time.
 
@@ -28,7 +30,6 @@ pub mod exact;
 pub mod gibbs;
 pub mod local;
 pub mod map;
-pub mod parallel;
 pub mod partitioned;
 pub mod writeback;
 
@@ -40,12 +41,9 @@ pub mod prelude {
     pub use crate::bp::{belief_propagation, max_product, BpConfig, BpResult};
     pub use crate::diagnostics::{ess, split_rhat, ChainStats};
     pub use crate::exact::{exact_marginals, log_partition};
-    pub use crate::gibbs::{
-        default_gibbs_workers, gibbs_marginals, sigmoid, GibbsConfig, GibbsSampler, Marginals,
-    };
+    pub use crate::gibbs::{default_gibbs_workers, sigmoid, GibbsConfig, Marginals};
     pub use crate::local::{LocalAnswer, LocalSession, LOCAL_EXACT_MAX_VARS};
     pub use crate::map::{anneal, exact_map, icm, icm_from, AnnealConfig, MapSolution};
-    pub use crate::parallel::{chromatic_marginals, ChromaticGibbs};
     pub use crate::partitioned::{
         partitioned_marginals, BatchedPlan, GibbsReport, GibbsRun, PartitionedGibbs, SHARD_SIZE,
     };

@@ -3,7 +3,7 @@
 //!
 //! [`LocalSession`] glues a [`LocalGrounder`] (the budgeted
 //! backward/forward chaining expander in `probkb_core::local`) to this
-//! crate's samplers: the canonical local `TΦ` slice becomes a
+//! crate's inference: the canonical local `TΦ` slice becomes a
 //! [`FactorGraph`] via [`from_phi`], tiny subgraphs
 //! (≤ [`LOCAL_EXACT_MAX_VARS`] variables) are answered by brute-force
 //! [`exact_marginals`] enumeration, larger ones by the production

@@ -1,9 +1,16 @@
-//! Partition-sharded parallel Gibbs with online convergence control —
-//! the production inference path (Wick et al.'s factor-graph/MCMC shape:
-//! shard the graph across workers by independent sets, stop when the
-//! marginals stabilize rather than after a fixed sample count).
+//! The one Gibbs kernel: partition-sharded parallel Gibbs with online
+//! convergence control (Wick et al.'s factor-graph/MCMC shape: shard the
+//! graph across workers by independent sets, stop when the marginals
+//! stabilize rather than after a fixed sample count, and run the same
+//! kernel for cold queries and for updates — only the set of resampled
+//! variables and the starting state differ).
 //!
-//! Three layers on top of the chromatic schedule:
+//! Variables are partitioned into color classes such that no two
+//! same-color variables share a factor (Gonzalez et al. \[14\], the
+//! chromatic schedule the paper runs on GraphLab): a whole class is
+//! conditionally independent given the rest, so it is resampled
+//! concurrently from a frozen snapshot while classes are swept in
+//! sequence. On top of that schedule:
 //!
 //! * **Multiple independent chains.** `GibbsConfig::chains` chains run on
 //!   the `probkb-support` fork-join pool (`PROBKB_GIBBS_WORKERS` /
@@ -21,15 +28,22 @@
 //!   head and body positions each get a tight loop), replacing the
 //!   per-factor dispatch of [`FactorGraph::flip_delta_ro`] inside the hot
 //!   resampling loop.
+//! * **A touched-variable mask and warm chains.** A full run
+//!   ([`PartitionedGibbs::run`]) touches every variable from a cold
+//!   start; a blanket pass ([`crate::blanket`]) resamples only the
+//!   variables a delta touched, from the previous run's final states.
+//!   Untouched variables draw nothing and shards without a touched
+//!   variable consume no randomness.
 //!
 //! Convergence control runs sampling in blocks of
 //! `GibbsConfig::check_interval` sweeps, feeding per-block true counts to
 //! [`ChainStats`]; when the worst per-variable split-R̂ reaches
 //! `GibbsConfig::target_rhat` the run stops (capped by `max_sweeps`).
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
-use probkb_factorgraph::prelude::{color, Coloring, FactorGraph, Sharding};
+use probkb_factorgraph::prelude::{color, Coloring, FactorGraph, Sharding, VarId};
 use probkb_support::rng::{Rng, SeedableRng, StdRng};
 use probkb_support::sync::{for_each_chunk_mut, map_chunks};
 
@@ -256,16 +270,42 @@ pub struct GibbsRun {
 struct ChainState {
     id: usize,
     state: Vec<bool>,
-    /// True counts over all sampling sweeps (drives the marginals).
+    /// True counts per touched variable over all sampling sweeps (drives
+    /// the marginals).
     counts: Vec<u64>,
-    /// True counts within the current diagnostic block.
+    /// True counts per touched variable within the current diagnostic
+    /// block.
     block: Vec<u32>,
+}
+
+/// Which variables one run resamples: a pure function of (coloring,
+/// touched set), never of the worker count.
+struct Schedule {
+    /// The touched variables, ascending; chain counters and the returned
+    /// estimates are indexed by position in this list.
+    touched: Vec<VarId>,
+    /// Per color class, the shards holding a touched variable — the only
+    /// shards that do work or consume randomness — as (global shard
+    /// index, touched variables in shard order).
+    classes: Vec<Vec<(u64, Vec<VarId>)>>,
+}
+
+/// What [`PartitionedGibbs::sample`] hands back to its two callers.
+pub(crate) struct Sampled {
+    /// The resampled variables, ascending.
+    pub(crate) touched: Vec<VarId>,
+    /// `p[i]` estimates `touched[i]` (averaged over all chains).
+    pub(crate) p: Vec<f64>,
+    /// Final per-chain assignments — the next run's warm start.
+    pub(crate) states: Vec<Vec<bool>>,
+    /// `vars` and `shards` count what the run actually resampled.
+    pub(crate) report: GibbsReport,
 }
 
 /// The partitioned multi-chain sampler.
 pub struct PartitionedGibbs<'a> {
     graph: &'a FactorGraph,
-    coloring: Coloring,
+    coloring: Cow<'a, Coloring>,
     partitioning: Sharding,
     plan: BatchedPlan,
     config: GibbsConfig,
@@ -275,12 +315,25 @@ impl<'a> PartitionedGibbs<'a> {
     /// Compile the schedule (coloring, sharding, shape batching) for a
     /// graph. The schedule depends only on the graph, never on workers.
     pub fn new(graph: &'a FactorGraph, config: &GibbsConfig) -> Self {
-        let coloring = color(graph);
-        let partitioning = coloring.partition(SHARD_SIZE);
+        Self::compile(graph, Cow::Owned(color(graph)), config)
+    }
+
+    /// Like [`PartitionedGibbs::new`] under a coloring the caller
+    /// maintains (any proper coloring works; incremental callers pass the
+    /// one they grow with `extend_color`).
+    pub fn with_coloring(
+        graph: &'a FactorGraph,
+        coloring: &'a Coloring,
+        config: &GibbsConfig,
+    ) -> Self {
+        Self::compile(graph, Cow::Borrowed(coloring), config)
+    }
+
+    fn compile(graph: &'a FactorGraph, coloring: Cow<'a, Coloring>, config: &GibbsConfig) -> Self {
         PartitionedGibbs {
             graph,
+            partitioning: coloring.partition(SHARD_SIZE),
             coloring,
-            partitioning,
             plan: BatchedPlan::build(graph),
             config: *config,
         }
@@ -296,24 +349,58 @@ impl<'a> PartitionedGibbs<'a> {
         self.partitioning.num_shards()
     }
 
+    fn schedule(&self, touched: &[VarId]) -> Schedule {
+        let mut mask = vec![false; self.graph.num_vars()];
+        for &v in touched {
+            mask[v] = true;
+        }
+        let classes = (0..self.num_colors())
+            .map(|class| {
+                self.partitioning
+                    .shards_of(class)
+                    .iter()
+                    .map(|shard| {
+                        let vars: Vec<VarId> = self
+                            .coloring
+                            .shard_vars(shard)
+                            .iter()
+                            .copied()
+                            .filter(|&v| mask[v])
+                            .collect();
+                        (shard.index as u64, vars)
+                    })
+                    .filter(|(_, vars)| !vars.is_empty())
+                    .collect::<Vec<_>>()
+            })
+            .filter(|shards| !shards.is_empty())
+            .collect();
+        let touched = (0..mask.len()).filter(|&v| mask[v]).collect();
+        Schedule { touched, classes }
+    }
+
     /// One chromatic sweep of one chain: classes in sequence, shards of a
     /// class resampled against the frozen pre-class snapshot, shard
-    /// results applied in shard order.
-    fn chain_sweep(&self, chain: &mut ChainState, sweep: u64, inner_workers: usize) {
-        for class in 0..self.coloring.num_colors() {
-            let shards = self.partitioning.shards_of(class);
+    /// results applied in shard order. Untouched variables draw nothing.
+    fn chain_sweep(
+        &self,
+        schedule: &Schedule,
+        chain: &mut ChainState,
+        sweep: u64,
+        inner_workers: usize,
+    ) {
+        for shards in &schedule.classes {
             let state: &[bool] = &chain.state;
             let chain_id = chain.id as u64;
             let updates = map_chunks(shards, inner_workers, |_, part| {
                 let mut out = Vec::new();
-                for shard in part {
+                for (shard, vars) in part {
                     let mut rng = StdRng::seed_from_u64(shard_seed(
                         self.config.seed,
                         chain_id,
                         sweep,
-                        shard.index as u64,
+                        *shard,
                     ));
-                    for &v in self.coloring.shard_vars(shard) {
+                    for &v in vars {
                         let delta = self.plan.delta(self.graph, v, state);
                         out.push((v, rng.random::<f64>() < sigmoid(delta)));
                     }
@@ -326,41 +413,28 @@ impl<'a> PartitionedGibbs<'a> {
         }
     }
 
-    /// Advance every chain by `sweeps` sweeps starting at global sweep
-    /// number `base`, fanning chains over the outer workers. During
-    /// sampling (`sampling = true`) per-sweep true counts accumulate into
-    /// each chain's marginal and block counters.
-    fn advance(
-        &self,
-        states: &mut [ChainState],
-        base: u64,
-        sweeps: usize,
-        sampling: bool,
-        outer: usize,
-        inner: usize,
-    ) {
-        if sweeps == 0 {
-            return;
+    /// Run the full schedule — every variable touched, chains started
+    /// cold: burn-in, then either the fixed `samples` sweeps or
+    /// convergence-controlled blocks until split-R̂ reaches `target_rhat`
+    /// (or `max_sweeps`).
+    pub fn run(&self) -> GibbsRun {
+        let all: Vec<VarId> = (0..self.graph.num_vars()).collect();
+        let run = self.sample(&all, &[]);
+        GibbsRun {
+            marginals: Marginals {
+                p: run.p,
+                samples: run.report.sweeps,
+            },
+            report: run.report,
         }
-        for_each_chunk_mut(states, outer, |_, part| {
-            for chain in part {
-                for s in 0..sweeps {
-                    self.chain_sweep(chain, base + s as u64, inner);
-                    if sampling {
-                        for (v, &bit) in chain.state.iter().enumerate() {
-                            chain.counts[v] += bit as u64;
-                            chain.block[v] += bit as u32;
-                        }
-                    }
-                }
-            }
-        });
     }
 
-    /// Run the full schedule: burn-in, then either the fixed `samples`
-    /// sweeps or convergence-controlled blocks until split-R̂ reaches
-    /// `target_rhat` (or `max_sweeps`).
-    pub fn run(&self) -> GibbsRun {
+    /// The one Gibbs loop. Resamples exactly the `touched` variables, each
+    /// chain starting from its `warm` state (padded with `false` for
+    /// variables beyond the state's length; missing chains start cold),
+    /// under the config's schedule; the convergence diagnostics see the
+    /// touched variables only. Nothing touched means nothing to run.
+    pub(crate) fn sample(&self, touched: &[VarId], warm: &[Vec<bool>]) -> Sampled {
         let start = Instant::now();
         let n = self.graph.num_vars();
         let config = &self.config;
@@ -372,55 +446,80 @@ impl<'a> PartitionedGibbs<'a> {
         let inner = (workers / outer).max(1);
         let check = config.check_interval.max(1);
 
-        let mut report = GibbsReport {
-            chains,
-            workers,
-            colors: self.num_colors(),
-            shards: self.num_shards(),
-            vars: n,
-            burn_in: config.burn_in,
-            sweeps: 0,
-            converged: false,
-            rhat: None,
-            ess: None,
-            elapsed: Duration::ZERO,
-        };
-        if n == 0 {
-            report.converged = config.target_rhat.is_some();
-            report.elapsed = start.elapsed();
-            return GibbsRun {
-                marginals: Marginals {
-                    p: Vec::new(),
-                    samples: 0,
-                },
-                report,
-            };
-        }
-
-        let mut states: Vec<ChainState> = (0..chains)
-            .map(|id| ChainState {
-                id,
-                state: vec![false; n],
-                counts: vec![0u64; n],
-                block: vec![0u32; n],
-            })
-            .collect();
-
-        self.advance(&mut states, 0, config.burn_in, false, outer, inner);
-        let mut sweep_no = config.burn_in as u64;
-        let mut stats = ChainStats::new(chains, n, check);
-        let mut done = 0usize;
+        let schedule = self.schedule(touched);
+        let t = schedule.touched.len();
         let budget = match config.target_rhat {
             Some(_) => config.max_sweeps,
             None => config.samples,
         };
+        let (burn_in, budget) = if t == 0 {
+            (0, 0)
+        } else {
+            (config.burn_in, budget)
+        };
+        let mut report = GibbsReport {
+            chains,
+            workers,
+            colors: self.num_colors(),
+            shards: schedule.classes.iter().map(Vec::len).sum(),
+            vars: t,
+            burn_in,
+            sweeps: 0,
+            // A convergence-controlled run over nothing is trivially
+            // converged.
+            converged: t == 0 && config.target_rhat.is_some(),
+            rhat: None,
+            ess: None,
+            elapsed: Duration::ZERO,
+        };
+
+        let mut states: Vec<ChainState> = (0..chains)
+            .map(|id| {
+                let mut state = warm.get(id).cloned().unwrap_or_default();
+                state.resize(n, false);
+                ChainState {
+                    id,
+                    state,
+                    counts: vec![0u64; t],
+                    block: vec![0u32; t],
+                }
+            })
+            .collect();
+
+        // Advance every chain by `sweeps` sweeps from global sweep number
+        // `base`, fanning chains over the outer workers. While `sampling`,
+        // per-sweep true counts accumulate into each chain's marginal and
+        // block counters.
+        let advance = |states: &mut [ChainState], base: u64, sweeps: usize, sampling: bool| {
+            for_each_chunk_mut(states, outer, |_, part| {
+                for chain in part {
+                    for s in 0..sweeps {
+                        self.chain_sweep(&schedule, chain, base + s as u64, inner);
+                        if sampling {
+                            // Only touched variables change, so counting
+                            // costs O(touched) per sweep, not O(vars).
+                            for (i, &v) in schedule.touched.iter().enumerate() {
+                                let bit = chain.state[v];
+                                chain.counts[i] += bit as u64;
+                                chain.block[i] += bit as u32;
+                            }
+                        }
+                    }
+                }
+            });
+        };
+
+        advance(&mut states, 0, burn_in, false);
+        let mut sweep_no = burn_in as u64;
+        let mut stats = ChainStats::new(chains, t, check);
+        let mut done = 0usize;
         while done < budget {
             let step = check.min(budget - done);
-            self.advance(&mut states, sweep_no, step, true, outer, inner);
+            advance(&mut states, sweep_no, step, true);
             sweep_no += step as u64;
             done += step;
             for chain in &mut states {
-                let block = std::mem::replace(&mut chain.block, vec![0u32; n]);
+                let block = std::mem::replace(&mut chain.block, vec![0u32; t]);
                 if step == check {
                     stats.push_block(chain.id, block);
                 }
@@ -441,18 +540,14 @@ impl<'a> PartitionedGibbs<'a> {
         report.rhat = stats.max_split_rhat();
         report.ess = stats.min_batch_ess();
         let denom = (chains * done.max(1)) as f64;
-        let mut p = vec![0.0f64; n];
-        for chain in &states {
-            for (slot, &c) in p.iter_mut().zip(chain.counts.iter()) {
-                *slot += c as f64;
-            }
-        }
-        for slot in &mut p {
-            *slot /= denom;
-        }
+        let p = (0..t)
+            .map(|i| states.iter().map(|c| c.counts[i]).sum::<u64>() as f64 / denom)
+            .collect();
         report.elapsed = start.elapsed();
-        GibbsRun {
-            marginals: Marginals { p, samples: done },
+        Sampled {
+            touched: schedule.touched,
+            p,
+            states: states.into_iter().map(|c| c.state).collect(),
             report,
         }
     }
@@ -460,7 +555,7 @@ impl<'a> PartitionedGibbs<'a> {
 
 /// Mix a shard's RNG seed from the run seed and the shard coordinates.
 /// SplitMix64-style finalization keeps nearby coordinates uncorrelated.
-pub(crate) fn shard_seed(seed: u64, chain: u64, sweep: u64, shard: u64) -> u64 {
+fn shard_seed(seed: u64, chain: u64, sweep: u64, shard: u64) -> u64 {
     let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
     for x in [chain, sweep, shard] {
         h = (h ^ x).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -612,6 +707,44 @@ mod tests {
                 "var {v}: converged run {got} vs exact {want}"
             );
         }
+    }
+
+    #[test]
+    fn implication_raises_head_probability() {
+        // Strong body, strong rule: head should be likely even with no
+        // direct evidence.
+        let g = FactorGraph::new(
+            2,
+            vec![Factor::singleton(0, 3.0), Factor::rule(1, vec![0], 2.0)],
+        );
+        let m = partitioned_marginals(&g, &GibbsConfig::default()).marginals;
+        assert!(m.p[0] > 0.9);
+        assert!(m.p[1] > 0.7, "head marginal {}", m.p[1]);
+        // An isolated variable with no factors sits near 0.5.
+        let free = FactorGraph::new(1, vec![]);
+        let mf = partitioned_marginals(&free, &GibbsConfig::default()).marginals;
+        assert!((mf.p[0] - 0.5).abs() < 0.05);
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let g = chain_graph(5);
+        let config = GibbsConfig {
+            burn_in: 10,
+            samples: 100,
+            seed: 42,
+            ..GibbsConfig::default()
+        };
+        let a = partitioned_marginals(&g, &config).marginals;
+        let b = partitioned_marginals(&g, &config).marginals;
+        assert_eq!(a.p, b.p);
+    }
+
+    #[test]
+    fn colors_match_graph_structure() {
+        let g = chain_graph(10);
+        let sampler = PartitionedGibbs::new(&g, &GibbsConfig::default());
+        assert_eq!(sampler.num_colors(), 2); // a chain is 2-colorable
     }
 
     #[test]

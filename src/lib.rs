@@ -17,7 +17,7 @@
 //! | [`kb`] | the probabilistic KB model: entities, classes, typed facts, Horn rules, constraints |
 //! | [`core`] | the paper's contribution: relational MLN model + batch grounding (Algorithm 1; one single-node engine with naive and semi-naive modes, MPP, Tuffy baseline), checkpointing, incremental deltas, local grounding |
 //! | [`factorgraph`] | ground factor graphs, lineage, coloring, JSON export |
-//! | [`inference`] | Gibbs sampling (sequential, chromatic parallel, partitioned multi-chain) and an exact oracle |
+//! | [`inference`] | one partitioned multi-chain Gibbs sampler (full runs and blanket-scoped passes), BP, MAP, and an exact oracle |
 //! | [`quality`] | constraints, ambiguity detection, rule cleaning, precision evaluation |
 //! | [`datagen`] | ReVerb-Sherlock-style synthetic workloads with ground truth |
 //! | [`storage`] | durable storage: snapshots, write-ahead log, checkpoint codecs |
@@ -63,9 +63,8 @@ pub mod pipeline {
         color, extend_color, from_phi, Coloring, GroundGraph, Lineage, VarId,
     };
     use probkb_inference::prelude::{
-        belief_propagation, blanket_of, blanket_resample_with, chromatic_marginals,
-        gibbs_marginals, partitioned_marginals, write_marginals, BlanketReport, BpConfig,
-        GibbsConfig, GibbsReport, Marginals,
+        belief_propagation, blanket_of, blanket_resample_with, partitioned_marginals,
+        write_marginals, BlanketReport, BpConfig, GibbsConfig, GibbsReport, Marginals,
     };
     use probkb_kb::prelude::ProbKb;
     use probkb_relational::prelude::{Result, Table};
@@ -73,14 +72,10 @@ pub mod pipeline {
     /// Which engine runs the marginal-inference stage.
     #[derive(Debug, Clone, Copy, PartialEq)]
     pub enum Sampler {
-        /// Sequential Gibbs.
-        Gibbs,
-        /// Chromatic parallel Gibbs with the given thread count.
-        ChromaticGibbs(usize),
         /// Partition-sharded multi-chain Gibbs with online convergence
         /// control (chains/workers/target R̂ come from the `gibbs` config;
         /// the worker count never changes results).
-        Partitioned,
+        Gibbs,
         /// Deterministic loopy belief propagation.
         BeliefPropagation(BpConfig),
     }
@@ -116,7 +111,7 @@ pub mod pipeline {
         /// Estimated marginals.
         pub marginals: Marginals,
         /// Inference execution report with `workers=`/`sweeps=`/`rhat=`
-        /// annotations (populated by [`Sampler::Partitioned`]).
+        /// annotations (populated by [`Sampler::Gibbs`]).
         pub inference: Option<GibbsReport>,
         /// `TΠ` with NULL weights replaced by marginals.
         pub facts_with_marginals: Table,
@@ -149,11 +144,7 @@ pub mod pipeline {
         let graph = from_phi(&expansion.outcome.factors);
         let mut inference = None;
         let marginals = match options.sampler {
-            Sampler::Gibbs => gibbs_marginals(&graph.graph, &options.gibbs),
-            Sampler::ChromaticGibbs(threads) => {
-                chromatic_marginals(&graph.graph, threads, &options.gibbs)
-            }
-            Sampler::Partitioned => {
+            Sampler::Gibbs => {
                 let run = partitioned_marginals(&graph.graph, &options.gibbs);
                 inference = Some(run.report);
                 run.marginals
@@ -236,19 +227,21 @@ pub mod pipeline {
         }
 
         /// Re-derive graph, coloring, and marginals from the session's
-        /// current factors (cold start; used at construction and after a
-        /// constraint-driven full-fallback delta).
+        /// current factors (used at construction and after a
+        /// constraint-driven full-fallback delta). Everything touched
+        /// from cold chains is the sampler's full run — same draws and
+        /// same R̂ stop as `partitioned_marginals` — and leaves the chain
+        /// states later deltas warm-start from.
         fn rebuild_all(&mut self) -> BlanketReport {
             self.graph = from_phi(self.session.factors());
             self.coloring = color(&self.graph.graph);
-            let n = self.graph.graph.num_vars();
-            let all: Vec<VarId> = (0..n).collect();
+            let all: Vec<VarId> = (0..self.graph.graph.num_vars()).collect();
             let run = blanket_resample_with(
                 &self.graph.graph,
                 &self.coloring,
                 &all,
                 &[],
-                &vec![0.5; n],
+                &[],
                 &self.gibbs,
             );
             self.chains = run.states;

@@ -176,3 +176,65 @@ fn untouched_component_keeps_marginals_bitwise() {
         );
     }
 }
+
+#[test]
+fn cold_start_is_a_full_run_under_convergence_control() {
+    // A cold start used to take the fixed `samples` schedule whatever
+    // `target_rhat` said; it is a full run, so it must stop where
+    // `partitioned_marginals` stops and land on the same bits.
+    let (base, _) = base_and_delta();
+    let config = GibbsConfig {
+        target_rhat: Some(1.05),
+        max_sweeps: 20_000,
+        ..gibbs(1)
+    };
+    let pipeline = IncrementalPipeline::new(base, ground_config(1), config).unwrap();
+    let full = partitioned_marginals(&pipeline.graph().graph, &config);
+    assert!(full.report.converged && full.report.sweeps < config.samples);
+    let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(pipeline.marginals()), bits(&full.marginals.p));
+}
+
+#[test]
+fn cold_start_and_warm_masked_delta_draws_are_pinned() {
+    // Digests recorded at 286e311, before the sampler collapse (ISSUE 14):
+    // the cold start (everything touched, cold chains) and the delta's
+    // masked pass over warm chains must keep their draws bit for bit.
+    let digest = |p: &[f64]| {
+        let bytes: Vec<u8> = p.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
+        crc32(&bytes)
+    };
+    let mut base = generate(&ReverbConfig::tiny());
+    let delta = KbDelta {
+        facts: base.facts.split_off(base.facts.len() - 40),
+        rules: vec![],
+    };
+    for workers in [1usize, 4] {
+        let gibbs = GibbsConfig {
+            burn_in: 50,
+            samples: 400,
+            seed: 17,
+            chains: 2,
+            workers: Some(workers),
+            ..GibbsConfig::default()
+        };
+        let mut pipeline = IncrementalPipeline::new(base.clone(), ground_config(1), gibbs).unwrap();
+        assert_eq!(
+            digest(pipeline.marginals()),
+            0xf01e_2edf,
+            "cold, workers={workers}"
+        );
+        let out = pipeline.apply_delta(&delta).unwrap();
+        assert!(!out.grounding.full_fallback);
+        assert!(
+            0 < out.inference.touched && out.inference.touched < out.inference.vars,
+            "delta must resample a proper subset: {}",
+            out.inference.annotate()
+        );
+        assert_eq!(
+            digest(pipeline.marginals()),
+            0x8ae8_eaa5,
+            "warm, workers={workers}"
+        );
+    }
+}

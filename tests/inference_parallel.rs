@@ -187,11 +187,10 @@ fn one_color_graph_falls_back_to_a_single_serial_shard() {
 
 #[test]
 fn pipeline_marginals_are_worker_invariant_end_to_end() {
-    use probkb::pipeline::{run_pipeline, PipelineOptions, Sampler};
+    use probkb::pipeline::{run_pipeline, PipelineOptions};
     let kb = generate(&ReverbConfig::tiny());
     let run = |workers: usize| {
         let options = PipelineOptions {
-            sampler: Sampler::Partitioned,
             gibbs: GibbsConfig {
                 burn_in: 50,
                 samples: 400,
@@ -211,4 +210,48 @@ fn pipeline_marginals_are_worker_invariant_end_to_end() {
         a.inference.unwrap().sweeps,
         b.inference.unwrap().sweeps
     );
+}
+
+/// CRC-32 of the marginals' bit patterns: a compact pin of exact draws.
+fn digest(p: &[f64]) -> u32 {
+    let bytes: Vec<u8> = p.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
+    crc32(&bytes)
+}
+
+#[test]
+fn full_run_draws_are_pinned() {
+    // Digests recorded at 286e311, before the sampler collapse (ISSUE 14):
+    // a full run must keep its draws bit for bit, on the fixed schedule
+    // and under R̂ control, whatever the worker count.
+    let kb = generate(&ReverbConfig::tiny());
+    let expansion = expand(&kb, &ExpandOptions::default()).unwrap();
+    let graph = from_phi(&expansion.outcome.factors).graph;
+    let fixed = GibbsConfig {
+        burn_in: 50,
+        samples: 400,
+        seed: 17,
+        chains: 2,
+        ..GibbsConfig::default()
+    };
+    let controlled = GibbsConfig {
+        chains: 4,
+        target_rhat: Some(1.05),
+        max_sweeps: 4_000,
+        ..fixed
+    };
+    for workers in [1usize, 4] {
+        let run = run_with_workers(&graph, workers, &fixed);
+        assert_eq!(
+            digest(&run.marginals.p),
+            0x965c_cee9,
+            "fixed, workers={workers}"
+        );
+        let run = run_with_workers(&graph, workers, &controlled);
+        assert!(run.report.converged && run.report.sweeps < 4_000);
+        assert_eq!(
+            digest(&run.marginals.p),
+            0x4be9_fe58,
+            "R̂, workers={workers}"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! on KBs that ground through all six rule partitions (P1–P6), and belief
 //! propagation on tree-shaped graphs where loopy BP is exact.
 
-use probkb::pipeline::{run_pipeline, PipelineOptions, Sampler};
+use probkb::pipeline::{run_pipeline, PipelineOptions};
 use probkb::prelude::*;
 use probkb_support::rng::{Rng, SeedableRng, StdRng};
 
@@ -103,7 +103,6 @@ fn multi_chain_gibbs_tracks_exact_through_all_six_partitions() {
     // partitioned multi-chain Gibbs, checked against exact enumeration.
     let kb = six_pattern_kb();
     let options = PipelineOptions {
-        sampler: Sampler::Partitioned,
         gibbs: GibbsConfig {
             burn_in: 500,
             samples: 12_000,
